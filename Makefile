@@ -44,12 +44,18 @@ test:
 # server that reads them while workers run, the network serving
 # subsystem (phase scheduler, pipelined client, slow-client teardown),
 # and the replication subsystem (leader-side streamers, follower apply
-# loop, promotion).
+# loop, promotion). The tree, the engine that drives it with partitioned
+# ascending runs, and the oracle additionally run at -cpu 1,2,4: a
+# multi-writer bug (the inner-split sibling race hid for four PRs) must
+# not be able to hide behind a 1-CPU runner.
 race:
-	$(GO) test -race ./internal/optlock ./internal/core ./internal/relation ./internal/datalog ./internal/obs ./internal/obshttp ./internal/check ./internal/serve ./internal/cluster ./internal/replica
+	$(GO) test -race ./internal/optlock ./internal/relation ./internal/obs ./internal/obshttp ./internal/serve ./internal/cluster ./internal/replica
+	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/datalog ./internal/check
 
 # check-harness runs the concurrent-correctness harness (DESIGN.md §10)
-# in short mode under the race detector, in both build flavours: the
+# in short mode under the race detector at 1, 2 and 4 CPUs — together
+# with the tree's and the engine's own suites, whose multi-writer tests
+# need more than one CPU to mean anything — in both build flavours: the
 # differential oracle against every provider — including the
 # serve-socket target, which drives the §11 relation server over real
 # loopback connections, and the cluster target, which injects a shard
@@ -61,7 +67,7 @@ race:
 # compiled in: every kill-point test proves hardened replay recovers
 # exactly the acknowledged prefix where naive replay diverges.
 check-harness:
-	$(GO) test -short -race ./internal/check
+	$(GO) test -short -race -cpu 1,2,4 ./internal/core ./internal/datalog ./internal/check
 	$(GO) test -short -race -tags lockinject ./internal/check ./internal/optlock
 	$(GO) test -short -race -tags logcrash ./internal/cluster
 

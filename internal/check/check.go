@@ -35,9 +35,29 @@ import (
 	"specbtree/internal/tuple"
 )
 
+// Workload selects the shape of the insert streams.
+type Workload int
+
+const (
+	// WorkloadRandom gives every worker an independent stream of uniform
+	// random tuples over the key space — duplicate-heavy, scattered.
+	WorkloadRandom Workload = iota
+	// WorkloadLeapfrog is the access pattern of the Datalog engine's
+	// partitioned delta merge (SplitRange(workers*4)): each round's fresh
+	// block of ascending keys is cut into Workers*4 contiguous partitions
+	// and worker w inserts partitions w, w+Workers, … as ascending runs.
+	// Neighbouring runs meet in the same leaves and under the same inner
+	// nodes, so one worker rides its insert hint on a leaf while another
+	// splits that leaf's parent — an interleaving uniform random streams
+	// practically never produce.
+	WorkloadLeapfrog
+)
+
 // Config sizes one oracle run. The zero value of any field selects the
 // default below; Short selects the seed-sized variant wholesale.
 type Config struct {
+	// Workload is the insert-stream shape (default WorkloadRandom).
+	Workload Workload
 	// Seed is the master seed. Every random choice of the run — insert
 	// streams, probe values, worker interleaving-sensitive ordering —
 	// derives from it deterministically, so a failure report is replayed
@@ -173,8 +193,8 @@ func (r *Report) Failed() bool { return len(r.Violations) > 0 }
 // violation, and the trace.
 func (r *Report) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "target %s arity %d: %d violations (replay: seed=%d workers=%d rounds=%d inserts=%d reads=%d keyspace=%d)\n",
-		r.Target, r.Arity, len(r.Violations), r.Config.Seed, r.Config.Workers,
+	fmt.Fprintf(&b, "target %s arity %d: %d violations (replay: workload=%d seed=%d workers=%d rounds=%d inserts=%d reads=%d keyspace=%d)\n",
+		r.Target, r.Arity, len(r.Violations), r.Config.Workload, r.Config.Seed, r.Config.Workers,
 		r.Config.Rounds, r.Config.Inserts, r.Config.Reads, r.Config.KeySpace)
 	for _, v := range r.Violations {
 		fmt.Fprintf(&b, "  %s\n", v)

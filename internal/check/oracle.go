@@ -101,9 +101,32 @@ func randTuple(rng *rand.Rand, arity int, space uint64) tuple.Tuple {
 // each tuple in order. Both the concurrent phase and the model update run
 // exactly this generator, which is what makes the oracle differential.
 func insertStream(cfg Config, arity, round, worker int, emit func(tuple.Tuple)) {
+	if cfg.Workload == WorkloadLeapfrog {
+		leapfrogStream(cfg, arity, round, worker, emit)
+		return
+	}
 	rng := rand.New(rand.NewSource(streamSeed(cfg.Seed, saltInsert, round, worker)))
 	for i := 0; i < cfg.Inserts; i++ {
 		emit(randTuple(rng, arity, cfg.KeySpace))
+	}
+}
+
+// leapfrogStream is worker w's round-r stream under WorkloadLeapfrog:
+// the round owns the fresh key block starting at round*Workers*Inserts,
+// cut into Workers*4 partitions of Inserts/4 keys; the worker emits its
+// partitions (w, w+Workers, …) as ascending runs. Every word of a tuple
+// carries the key, so all tuples are distinct and ordered by key.
+func leapfrogStream(cfg Config, arity, round, worker int, emit func(tuple.Tuple)) {
+	per := cfg.Inserts / 4
+	base := round * cfg.Workers * cfg.Inserts
+	for p := worker; p < cfg.Workers*4; p += cfg.Workers {
+		for k := base + p*per; k < base+(p+1)*per; k++ {
+			t := make(tuple.Tuple, arity)
+			for i := range t {
+				t[i] = uint64(k)
+			}
+			emit(t)
+		}
 	}
 }
 

@@ -159,3 +159,31 @@ func TestModelBound(t *testing.T) {
 		t.Errorf("len = %d, want 3", m.len())
 	}
 }
+
+// TestOracleLeapfrogRuns drives the concurrent tree with the engine's
+// partitioned ascending-run insert pattern (WorkloadLeapfrog) over many
+// small fresh trees. It is the oracle-level regression test for the
+// inner-split sibling race (a moved leaf's writer inserting into a
+// fresh, unlocked inner sibling concurrently with the splitter), which
+// loses a separator and its subtree — a len/scan/freshness violation.
+// The window is one inner split wide, hence many three-level trees
+// rather than one large one.
+func TestOracleLeapfrogRuns(t *testing.T) {
+	runs := 600
+	if testing.Short() {
+		runs = 150
+	}
+	for _, name := range []string{"btree", "btree-cursor"} {
+		f := mustTarget(t, name)
+		t.Run(name, func(t *testing.T) {
+			for i := 0; i < runs; i++ {
+				workers := 2 + i%3
+				cfg := Config{Workload: WorkloadLeapfrog, Seed: int64(i), Workers: workers,
+					Rounds: 2, Inserts: 300 / workers, Reads: 8, KeySpace: 600}
+				if rep := Run(f, 1, cfg); rep.Failed() {
+					t.Fatalf("run %d: oracle failed:\n%s", i, rep.Summary())
+				}
+			}
+		})
+	}
+}

@@ -160,6 +160,23 @@ func TestReplicaFailoverGate(t *testing.T) {
 		t.Fatal("promotion not counted")
 	}
 
+	// Contract 1 is about the promoted leader, but cl offloads reads to
+	// followers: the one left behind keeps answering "healthy, caught up
+	// with the head I know of" until its stream loop has run far enough
+	// to see the dead connection — bounded staleness is stream-carried
+	// knowledge, not read-your-writes (§16.4) — and on a loaded host that
+	// window is long enough for a read of the acked tail to land in it.
+	// Wait it out, so every read below falls back to the new leader.
+	deadline = time.Now().Add(5 * time.Second)
+	for _, f := range []*replica.Follower{f1, f2} {
+		for !f.Promoted() && f.Healthy() {
+			if time.Now().After(deadline) {
+				t.Fatal("the follower left behind never noticed its leader died")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
 	// Contract 1: nothing acked is lost, and nothing invented — the
 	// promoted leader's state equals the model exactly.
 	for k, tp := range model {

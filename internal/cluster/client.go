@@ -14,22 +14,13 @@ import (
 type ClientOptions struct {
 	// Arity is the tuple width of the clustered relation (default 2).
 	Arity int
-	// Timeout and DialTimeout are passed through to every per-shard
-	// connection (serve.ClientOptions defaults apply).
-	Timeout     time.Duration
-	DialTimeout time.Duration
+	// Timeout is passed through to every per-shard connection
+	// (serve.ClientOptions' default applies).
+	Timeout time.Duration
 	// PageLimit caps the tuples fetched per shard scan page during
 	// fan-out merges (0 = the server's cap). Tests shrink it to force
 	// resumption across pages and shard boundaries.
 	PageLimit int
-	// RetryBackoff is slept between resubmissions of an insert batch
-	// the shard answered RETRY to (default 200µs).
-	RetryBackoff time.Duration
-	// RetryFor bounds the total time one insert chunk keeps absorbing
-	// RETRY backpressure before the RETRY surfaces as an error
-	// (default 5s) — a persistently stuck shard must not hang Insert
-	// forever.
-	RetryFor time.Duration
 	// MaxBatch caps the tuples per wire insert frame; Insert chunks
 	// larger per-shard sub-batches to it (default 4096, the serve
 	// layer's own default cap — lower it when the shards run with a
@@ -58,12 +49,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	if o.Arity <= 0 {
 		o.Arity = 2
 	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 200 * time.Microsecond
-	}
-	if o.RetryFor <= 0 {
-		o.RetryFor = 5 * time.Second
-	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 4096 // serve.Options' default MaxBatch
 	}
@@ -79,10 +64,11 @@ func (o ClientOptions) withDefaults() ClientOptions {
 // reconnection), each handshake pinned to its shard number so a stale
 // address can never silently reach the wrong shard.
 type Client struct {
-	src   MapSource
-	addrs []string
-	opts  ClientOptions
-	dir   *Directory
+	src  MapSource
+	opts ClientOptions
+	// dir is the live shard address table: the caller's Directory, or a
+	// private one pinned to the NewClient addresses.
+	dir *Directory
 
 	mu        sync.Mutex
 	conns     map[int]*serve.Client
@@ -108,7 +94,7 @@ func NewClient(src MapSource, addrs []string, opts ClientOptions) (*Client, erro
 		dir = NewDirectory(addrs)
 	}
 	return &Client{
-		src: src, addrs: addrs, opts: opts, dir: dir,
+		src: src, opts: opts, dir: dir,
 		conns:     make(map[int]*serve.Client),
 		connAddrs: make(map[int]string),
 		fconns:    make(map[int]*serve.Client),
@@ -124,17 +110,13 @@ func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var first error
-	for shard, cl := range c.conns {
-		if err := cl.Close(); err != nil && first == nil {
-			first = err
+	for _, conns := range []map[int]*serve.Client{c.conns, c.fconns} {
+		for shard, cl := range conns {
+			if err := cl.Close(); err != nil && first == nil {
+				first = err
+			}
+			delete(conns, shard)
 		}
-		delete(c.conns, shard)
-	}
-	for shard, cl := range c.fconns {
-		if err := cl.Close(); err != nil && first == nil {
-			first = err
-		}
-		delete(c.fconns, shard)
 	}
 	return first
 }
@@ -147,12 +129,9 @@ func (c *Client) Close() error {
 func (c *Client) shard(i int) (*serve.Client, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i < 0 || i >= len(c.addrs) {
-		return nil, fmt.Errorf("cluster: no address for shard %d", i)
-	}
 	addr := c.dir.Addr(i)
 	if addr == "" {
-		addr = c.addrs[i]
+		return nil, fmt.Errorf("cluster: no address for shard %d", i)
 	}
 	if cl, ok := c.conns[i]; ok {
 		if c.connAddrs[i] == addr {
@@ -161,19 +140,24 @@ func (c *Client) shard(i int) (*serve.Client, error) {
 		cl.Close()
 		delete(c.conns, i)
 	}
-	cl, err := serve.Dial(addr, serve.ClientOptions{
-		Arity:       c.opts.Arity,
-		Timeout:     c.opts.Timeout,
-		DialTimeout: c.opts.DialTimeout,
-		ExpectShard: true,
-		ShardID:     uint32(i),
-	})
+	cl, err := c.dial(addr, i)
 	if err != nil {
 		return nil, err
 	}
 	c.conns[i] = cl
 	c.connAddrs[i] = addr
 	return cl, nil
+}
+
+// dial connects to addr as shard i — leader or follower — with the
+// handshake pinned to the shard number.
+func (c *Client) dial(addr string, i int) (*serve.Client, error) {
+	return serve.Dial(addr, serve.ClientOptions{
+		Arity:       c.opts.Arity,
+		Timeout:     c.opts.Timeout,
+		ExpectShard: true,
+		ShardID:     uint32(i),
+	})
 }
 
 // followerDialBackoff is how long a failed follower dial suppresses
@@ -196,13 +180,7 @@ func (c *Client) follower(i int) *serve.Client {
 		return nil
 	}
 	for _, addr := range c.opts.Followers[i] {
-		cl, err := serve.Dial(addr, serve.ClientOptions{
-			Arity:       c.opts.Arity,
-			Timeout:     c.opts.Timeout,
-			DialTimeout: c.opts.DialTimeout,
-			ExpectShard: true,
-			ShardID:     uint32(i),
-		})
+		cl, err := c.dial(addr, i)
 		if err == nil {
 			delete(c.fFailed, i)
 			c.fconns[i] = cl
@@ -225,11 +203,22 @@ func (c *Client) dropFollower(i int, cl *serve.Client) {
 	}
 }
 
-// fresh decides whether a follower's stamp admits its answer: the
-// replication stream must be healthy and the follower may trail the
-// committed head by at most MaxStaleEpochs.
-func (c *Client) fresh(st serve.Stamp) bool {
-	return st.Healthy && st.Head >= st.Applied && st.Head-st.Applied <= c.opts.MaxStaleEpochs
+// admit decides whether a follower read may be returned: the read must
+// have succeeded, the follower's replication stream must be healthy,
+// and it may trail the committed head by at most MaxStaleEpochs. A
+// refused answer is counted as a fallback (the caller re-asks the
+// leader), and a failed read additionally drops the follower
+// connection, arming the dial backoff.
+func (c *Client) admit(shard int, fc *serve.Client, st serve.Stamp, err error) bool {
+	if err == nil && st.Healthy && st.Head >= st.Applied && st.Head-st.Applied <= c.opts.MaxStaleEpochs {
+		obs.Inc(obs.ReplicaFollowerReads)
+		return true
+	}
+	if err != nil {
+		c.dropFollower(shard, fc)
+	}
+	obs.Inc(obs.ReplicaFallbackReads)
+	return false
 }
 
 // checkArity validates one argument tuple's width.
@@ -298,10 +287,7 @@ func (c *Client) insertShard(shard int, sub []tuple.Tuple) (int, error) {
 	}
 	fresh := 0
 	for off := 0; off < len(sub); off += c.opts.MaxBatch {
-		end := off + c.opts.MaxBatch
-		if end > len(sub) {
-			end = len(sub)
-		}
+		end := min(off+c.opts.MaxBatch, len(sub))
 		n, err := c.insertChunk(cl, shard, sub[off:end])
 		if err != nil {
 			return fresh, err
@@ -311,10 +297,17 @@ func (c *Client) insertShard(shard int, sub []tuple.Tuple) (int, error) {
 	return fresh, nil
 }
 
+// An insert chunk the shard answers RETRY to is resubmitted after
+// retryBackoff, for at most retryFor in total before the RETRY surfaces
+// as an error — a persistently stuck shard must not hang Insert forever.
+const (
+	retryBackoff = 200 * time.Microsecond
+	retryFor     = 5 * time.Second
+)
+
 // insertChunk submits one wire-sized chunk, absorbing RETRY
-// backpressure with bounded backoff: RetryBackoff between attempts,
-// RetryFor in total before the RETRY surfaces (errors.Is-able as
-// serve.ErrRetry).
+// backpressure with bounded backoff (the RETRY that finally surfaces is
+// errors.Is-able as serve.ErrRetry).
 func (c *Client) insertChunk(cl *serve.Client, shard int, chunk []tuple.Tuple) (int, error) {
 	var deadline time.Time
 	for {
@@ -327,11 +320,11 @@ func (c *Client) insertChunk(cl *serve.Client, shard int, chunk []tuple.Tuple) (
 		}
 		now := time.Now()
 		if deadline.IsZero() {
-			deadline = now.Add(c.opts.RetryFor)
+			deadline = now.Add(retryFor)
 		} else if now.After(deadline) {
-			return 0, fmt.Errorf("cluster: shard %d: backpressured for %v: %w", shard, c.opts.RetryFor, err)
+			return 0, fmt.Errorf("cluster: shard %d: backpressured for %v: %w", shard, retryFor, err)
 		}
-		time.Sleep(c.opts.RetryBackoff)
+		time.Sleep(retryBackoff)
 	}
 }
 
@@ -369,14 +362,9 @@ func (c *Client) Contains(t tuple.Tuple) (bool, error) {
 func (c *Client) containsShard(s int, t tuple.Tuple) (bool, error) {
 	if fc := c.follower(s); fc != nil {
 		ok, st, err := fc.ContainsStamped(t)
-		if err == nil && c.fresh(st) {
-			obs.Inc(obs.ReplicaFollowerReads)
+		if c.admit(s, fc, st, err) {
 			return ok, nil
 		}
-		if err != nil {
-			c.dropFollower(s, fc)
-		}
-		obs.Inc(obs.ReplicaFallbackReads)
 	}
 	cl, err := c.shard(s)
 	if err != nil {
@@ -389,53 +377,34 @@ func (c *Client) containsShard(s int, t tuple.Tuple) (bool, error) {
 // under the staleness bound like containsShard.
 func (c *Client) boundShard(s int, v tuple.Tuple, strict bool) (tuple.Tuple, bool, error) {
 	if fc := c.follower(s); fc != nil {
-		var t tuple.Tuple
-		var ok bool
 		var st serve.Stamp
-		var err error
-		if strict {
-			t, ok, st, err = fc.UpperBoundStamped(v)
-		} else {
-			t, ok, st, err = fc.LowerBoundStamped(v)
-		}
-		if err == nil && c.fresh(st) {
-			obs.Inc(obs.ReplicaFollowerReads)
+		t, ok, err := fc.Bound(v, strict, &st)
+		if c.admit(s, fc, st, err) {
 			return t, ok, nil
 		}
-		if err != nil {
-			c.dropFollower(s, fc)
-		}
-		obs.Inc(obs.ReplicaFallbackReads)
 	}
 	cl, err := c.shard(s)
 	if err != nil {
 		return nil, false, err
 	}
-	if strict {
-		return cl.UpperBound(v)
-	}
-	return cl.LowerBound(v)
+	return cl.Bound(v, strict, nil)
 }
 
 // scanPageShard fetches one scan page from one shard, preferring a
 // follower under the staleness bound like containsShard.
 func (c *Client) scanPageShard(s int, lo, hi tuple.Tuple, loStrict bool, limit int) ([]tuple.Tuple, bool, error) {
 	if fc := c.follower(s); fc != nil {
-		page, truncated, st, err := fc.ScanPageStamped(lo, hi, loStrict, limit)
-		if err == nil && c.fresh(st) {
-			obs.Inc(obs.ReplicaFollowerReads)
+		var st serve.Stamp
+		page, truncated, err := fc.ScanPage(lo, hi, loStrict, limit, &st)
+		if c.admit(s, fc, st, err) {
 			return page, truncated, nil
 		}
-		if err != nil {
-			c.dropFollower(s, fc)
-		}
-		obs.Inc(obs.ReplicaFallbackReads)
 	}
 	cl, err := c.shard(s)
 	if err != nil {
 		return nil, false, err
 	}
-	return cl.ScanPage(lo, hi, loStrict, limit)
+	return cl.ScanPage(lo, hi, loStrict, limit, nil)
 }
 
 // Len returns the clustered relation's element count: the length of
@@ -520,7 +489,7 @@ func (c *Client) Scan(lo, hi tuple.Tuple, limit int) (ts []tuple.Tuple, truncate
 	if limit < 0 {
 		return nil, false, fmt.Errorf("cluster: negative scan limit %d", limit)
 	}
-	err = c.scanMerge(lo, hi, func(t tuple.Tuple) bool {
+	err = c.ScanAll(lo, hi, func(t tuple.Tuple) bool {
 		if limit > 0 && len(ts) == limit {
 			truncated = true
 			return false
@@ -535,11 +504,8 @@ func (c *Client) Scan(lo, hi tuple.Tuple, limit int) (ts []tuple.Tuple, truncate
 // order, paginating past every shard's per-scan cap; returning false
 // from yield stops early. The yielded tuple is transient — clone to
 // retain.
-func (c *Client) ScanAll(lo, hi tuple.Tuple, yield func(tuple.Tuple) bool) error {
-	return c.scanMerge(lo, hi, yield)
-}
-
-// scanMerge is the fan-out merge: the map decomposes into key-ordered
+//
+// It is the fan-out merge: the map decomposes into key-ordered
 // runs, each run streamed from its owning shard — or, for the moving
 // range, 2-way merged from source and destination with equal-head
 // duplicates elided — so the concatenation is the exact global sorted
@@ -556,7 +522,7 @@ func (c *Client) ScanAll(lo, hi tuple.Tuple, yield func(tuple.Tuple) bool) error
 // its first unemitted position under the fresh map; emitted tuples are
 // strictly below the resume point and acknowledged tuples are never
 // deleted, so the restart neither duplicates nor skips.
-func (c *Client) scanMerge(lo, hi tuple.Tuple, yield func(tuple.Tuple) bool) error {
+func (c *Client) ScanAll(lo, hi tuple.Tuple, yield func(tuple.Tuple) bool) error {
 	if lo != nil {
 		if err := c.checkArity(lo); err != nil {
 			return err
@@ -618,30 +584,9 @@ func (c *Client) scanGeneration(m *ShardMap, lo, hi tuple.Tuple, yield func(tupl
 			*fanned = true // count once per logical scan, restarts included
 			obs.Inc(obs.ClusterScanFanouts)
 		}
-		a, err := c.newStream(r.shards[0], runLo, runHi)
-		if err != nil {
-			return nil, err
-		}
-		if r.shards[1] < 0 {
-			for {
-				t, ok, err := a.next()
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					break
-				}
-				if !emit(t) {
-					return resume, nil
-				}
-			}
-			continue
-		}
-		// Moving-range run: 2-way merge with duplicate elision.
-		b, err := c.newStream(r.shards[1], runLo, runHi)
-		if err != nil {
-			return nil, err
-		}
+		// Merge the run's one or two shard streams in order (b is nil
+		// outside the moving range and reads as exhausted).
+		a, b := c.newStream(r.shards[0], runLo, runHi), c.newStream(r.shards[1], runLo, runHi)
 		ta, aok, err := a.next()
 		if err != nil {
 			return nil, err
@@ -651,44 +596,36 @@ func (c *Client) scanGeneration(m *ShardMap, lo, hi tuple.Tuple, yield func(tupl
 			return nil, err
 		}
 		for aok || bok {
-			var out tuple.Tuple
+			// Take the smaller head; equal heads are the same tuple on
+			// both sides of the move and are emitted once.
+			var cmp int
 			switch {
 			case !bok:
-				out = ta
-				if ta, aok, err = a.next(); err != nil {
-					return nil, err
-				}
+				cmp = -1
 			case !aok:
-				out = tb
-				if tb, bok, err = b.next(); err != nil {
-					return nil, err
-				}
+				cmp = 1
 			default:
-				switch cmp := tuple.Compare(ta, tb); {
-				case cmp < 0:
-					out = ta
-					if ta, aok, err = a.next(); err != nil {
-						return nil, err
-					}
-				case cmp > 0:
-					out = tb
-					if tb, bok, err = b.next(); err != nil {
-						return nil, err
-					}
-				default:
-					// The same tuple on both sides of the move: emit once.
-					obs.Inc(obs.ClusterScanDupes)
-					out = ta
-					if ta, aok, err = a.next(); err != nil {
-						return nil, err
-					}
-					if tb, bok, err = b.next(); err != nil {
-						return nil, err
-					}
-				}
+				cmp = tuple.Compare(ta, tb)
+			}
+			out := ta
+			if cmp > 0 {
+				out = tb
+			}
+			if cmp == 0 {
+				obs.Inc(obs.ClusterScanDupes)
 			}
 			if !emit(out) {
 				return resume, nil
+			}
+			if cmp <= 0 {
+				if ta, aok, err = a.next(); err != nil {
+					return nil, err
+				}
+			}
+			if cmp >= 0 {
+				if tb, bok, err = b.next(); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
@@ -711,15 +648,22 @@ type shardStream struct {
 	shard  int
 }
 
-// newStream opens a paginated stream over one shard's [lo, hi) range.
-func (c *Client) newStream(shard int, lo, hi tuple.Tuple) (*shardStream, error) {
-	s := &shardStream{c: c, hi: hi, cur: lo, strict: false, limit: c.opts.PageLimit, more: true, shard: shard}
-	return s, nil
+// newStream opens a paginated stream over one shard's [lo, hi) range;
+// shard -1 (a run's absent second side) yields the nil stream, which is
+// always exhausted.
+func (c *Client) newStream(shard int, lo, hi tuple.Tuple) *shardStream {
+	if shard < 0 {
+		return nil
+	}
+	return &shardStream{c: c, hi: hi, cur: lo, limit: c.opts.PageLimit, more: true, shard: shard}
 }
 
 // next returns the stream's next tuple in order, fetching pages on
 // demand; ok=false means the range is exhausted.
 func (s *shardStream) next() (tuple.Tuple, bool, error) {
+	if s == nil {
+		return nil, false, nil
+	}
 	for s.i >= len(s.page) {
 		if !s.more {
 			return nil, false, nil

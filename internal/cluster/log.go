@@ -17,7 +17,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sort"
@@ -25,66 +24,40 @@ import (
 
 	"specbtree/internal/core"
 	"specbtree/internal/obs"
+	"specbtree/internal/serve"
 	"specbtree/internal/tuple"
 )
 
-// Log file format (DESIGN.md §15):
+// The log file is a sequence of committed epochs, numbered 1, 2, 3, …
+// with no gaps, in the serving stack's one epoch framing
+// (serve.AppendEpoch / serve.DecodeEpoch, DESIGN.md §15) — the same
+// bytes the replication stream ships, so Epoch and Fence are the
+// serving layer's types.
 //
-//	file   := record*
-//	record := bodyLen:u32 body crc:u32     (big-endian, crc32-IEEE of body)
-//	body   := kind:u8 seq:u64 payload
-//
-// Record kinds:
-//
-//	recInsert (1): payload = count:u32 (count × arity) u64 words —
-//	    the tuples of one insert batch, in batch order.
-//	recCommit (2): no payload — ends epoch seq; every record of an
-//	    epoch carries the same seq, and consecutive epochs are
-//	    numbered 1, 2, 3, … with no gaps.
-//	recFence  (3): payload = lo:u64 hi:u64 dst:u32 — the leading-column
-//	    range [lo, hi] was handed to shard dst at this point; replay
-//	    drops earlier committed tuples inside it (the destination
-//	    logged them durably before the fence was written).
-//	recMark   (4): payload = mark:u64 — the replication watermark: this
-//	    epoch applied leader-log epoch `mark`. Written only by follower
-//	    logs (LogReplicatedEpoch); replay surfaces the highest committed
-//	    mark so a restarted follower resumes its stream after it.
-//
-// One write epoch is composed in memory — insert record(s) followed by
-// a commit marker — then written with a single Write and fsynced
-// BEFORE the server delivers the epoch's acknowledgements, so the set
-// of acknowledged tuples is always a prefix of the committed log.
-// Replay applies committed epochs only: an incomplete trailing record
-// or a trailing epoch with no commit marker is a crash artifact past
-// the last durable flush, never acknowledged, and is truncated
-// silently; a complete record that fails its checksum, carries an
-// unknown kind, an out-of-sequence epoch number, or an implausible
-// length is ErrLogCorrupt.
-const (
-	recInsert = 1
-	recCommit = 2
-	recFence  = 3
-	recMark   = 4
-
-	// maxRecordBody bounds a single record body (64 MiB). A length
-	// field above it cannot come from this writer and marks the record
-	// complete-but-corrupt rather than torn.
-	maxRecordBody = 1 << 26
+// One write epoch is composed in memory, written with a single Write
+// and fsynced BEFORE the server delivers the epoch's acknowledgements,
+// so the set of acknowledged tuples is always a prefix of the committed
+// log. Recovery applies committed epochs only: an incomplete trailing
+// record or a trailing epoch with no commit marker is a crash artifact
+// past the last durable flush, never acknowledged, and is truncated
+// silently; a complete but invalid record is ErrLogCorrupt.
+type (
+	Epoch = serve.Epoch
+	Fence = serve.Fence
 )
 
 // ErrLogCorrupt is the pinned error for a shard insert log whose
-// committed prefix is damaged: a checksum mismatch, an unknown record
-// kind, an out-of-sequence epoch number, or an implausible record
-// length. Torn trailing bytes from a crash are NOT corruption — they
-// are truncated silently, because the flush-before-ack protocol
-// guarantees nothing torn was ever acknowledged.
-var ErrLogCorrupt = errors.New("cluster: insert log corrupt")
+// committed prefix is damaged. Torn trailing bytes from a crash are NOT
+// corruption — they are truncated silently, because the
+// flush-before-ack protocol guarantees nothing torn was ever
+// acknowledged.
+var ErrLogCorrupt = serve.ErrLogCorrupt
 
 // ErrCrashed is returned by ShardLog operations after the log has been
 // poisoned — by an injected crash (logcrash builds) or by an earlier
 // flush that failed with a real write or sync error. Either way the
 // file's tail state is untrustworthy, so the log refuses further
-// appends until reopened (replay truncates any torn tail).
+// appends until reopened (recovery truncates any torn tail).
 var ErrCrashed = errors.New("cluster: log writer crashed")
 
 // ShardLog is the append-only per-epoch insert log of one shard. It
@@ -127,10 +100,36 @@ type Recovery struct {
 	Watermark uint64
 }
 
+// apply folds one committed epoch into the recovery, offline: its
+// batches join the committed set, then each of its fences filters the
+// whole set (this epoch's batches included).
+func (rec *Recovery) apply(ep *Epoch) {
+	for _, b := range ep.Batches {
+		rec.Tuples = append(rec.Tuples, b...)
+	}
+	for _, fc := range ep.Fences {
+		kept := rec.Tuples[:0]
+		for _, t := range rec.Tuples {
+			if t[0] >= fc.Lo && t[0] <= fc.Hi {
+				rec.Dropped++
+				continue
+			}
+			kept = append(kept, t)
+		}
+		rec.Tuples = kept
+	}
+	if ep.Mark > rec.Watermark {
+		rec.Watermark = ep.Mark
+	}
+	rec.Epochs++
+}
+
 // OpenShardLog opens (or creates) the insert log at path for a shard
 // of the given arity, replays its committed prefix, truncates any
 // trailing crash artifact, and returns the log positioned to append
 // the next epoch. The returned Recovery holds the replayed tuples.
+// Recovery reads the file the way replication does — through a
+// LogTailer driven to the committed end — so there is one log reader.
 func OpenShardLog(path string, arity int) (*ShardLog, *Recovery, error) {
 	if arity < 1 {
 		return nil, nil, fmt.Errorf("cluster: arity %d out of range", arity)
@@ -139,23 +138,8 @@ func OpenShardLog(path string, arity int) (*ShardLog, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	data, err := io.ReadAll(f)
+	rec, err := recoverLog(f, arity)
 	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	rec, validLen, err := replay(data, arity)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if validLen < int64(len(data)) {
-		if err := f.Truncate(validLen); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	}
-	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
 		f.Close()
 		return nil, nil, err
 	}
@@ -165,6 +149,38 @@ func OpenShardLog(path string, arity int) (*ShardLog, *Recovery, error) {
 	}
 	l := &ShardLog{arity: arity, f: f, path: path, nextSeq: rec.Epochs + 1, pulse: make(chan struct{})}
 	return l, rec, nil
+}
+
+// recoverLog replays f's committed prefix and leaves f truncated to it
+// and positioned at its end. Whatever follows the last committed epoch
+// is a torn tail: the flush was cut mid-epoch, nothing in it was acked.
+func recoverLog(f *os.File, arity int) (*Recovery, error) {
+	rec := &Recovery{}
+	t := &LogTailer{f: f, arity: arity}
+	for {
+		ep, ok, err := t.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		rec.apply(ep)
+	}
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, err
+	}
+	if t.off < size {
+		rec.TornTail = true
+		if err := f.Truncate(t.off); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := f.Seek(t.off, io.SeekStart); err != nil {
+		return nil, err
+	}
+	return rec, nil
 }
 
 // Path returns the log's file path.
@@ -187,12 +203,6 @@ func (l *ShardLog) Pulse() <-chan struct{} {
 	return l.pulse
 }
 
-// beat wakes Pulse waiters after a successful flush. Caller holds mu.
-func (l *ShardLog) beat() {
-	close(l.pulse)
-	l.pulse = make(chan struct{})
-}
-
 // Close closes the underlying file. The log must not be used after.
 func (l *ShardLog) Close() error { return l.f.Close() }
 
@@ -200,96 +210,22 @@ func (l *ShardLog) Close() error { return l.f.Close() }
 // batches followed by a commit marker — as a single write + fsync.
 // The serving layer calls it after batch application and before
 // acknowledgement delivery (serve.EpochLog); an error fails the
-// epoch's acknowledgements.
+// epoch's acknowledgements. An epoch with no tuples (a barrier) has
+// nothing to make durable and writes nothing.
 func (l *ShardLog) LogEpoch(batches [][]tuple.Tuple) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.crashed {
-		return ErrCrashed
-	}
-	n := 0
-	for _, b := range batches {
-		n += len(b)
-	}
-	if n == 0 {
-		return nil // empty epoch (barrier): nothing to make durable
-	}
-	start := obs.Clock()
-	l.buf = l.buf[:0]
-	records := uint64(0)
-	for _, b := range batches {
-		if len(b) == 0 {
-			continue
-		}
-		l.buf = appendInsertRecord(l.buf, l.nextSeq, b)
-		records++
-	}
-	l.buf = appendRecord(l.buf, recCommit, l.nextSeq, nil)
-	records++
-	if err := l.flush(crashSiteEpoch); err != nil {
-		return err
-	}
-	obs.Add(obs.ClusterLogRecords, records)
-	obs.Add(obs.ClusterLogBytes, uint64(len(l.buf)))
-	obs.Observe(obs.HistClusterLogFlushNanos, uint64(obs.Clock()-start))
-	l.nextSeq++
-	l.beat()
-	return nil
+	return l.append(Epoch{Batches: batches}, crashSiteEpoch)
 }
 
 // LogReplicatedEpoch durably appends one applied replication epoch to a
 // follower's own log: the epoch's insert batches and fences exactly as
 // streamed from the leader, plus a watermark record carrying the leader
 // epoch number, all under one commit marker and one flush. On restart,
-// replay reconstructs the follower tree and Recovery.Watermark tells the
-// follower where to resume its subscription; re-applying an epoch the
-// leader also streams again is idempotent (set inserts, re-fenced empty
-// ranges).
+// recovery reconstructs the follower tree and Recovery.Watermark tells
+// the follower where to resume its subscription; re-applying an epoch
+// the leader also streams again is idempotent (set inserts, re-fenced
+// empty ranges).
 func (l *ShardLog) LogReplicatedEpoch(batches [][]tuple.Tuple, fences []Fence, mark uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.crashed {
-		return ErrCrashed
-	}
-	start := obs.Clock()
-	l.buf = l.buf[:0]
-	records := uint64(0)
-	for _, b := range batches {
-		if len(b) == 0 {
-			continue
-		}
-		l.buf = appendInsertRecord(l.buf, l.nextSeq, b)
-		records++
-	}
-	for _, fc := range fences {
-		if fc.Lo > fc.Hi {
-			return fmt.Errorf("cluster: fence range [%d, %d] inverted", fc.Lo, fc.Hi)
-		}
-		payload := make([]byte, 0, 20)
-		payload = be64(payload, fc.Lo)
-		payload = be64(payload, fc.Hi)
-		payload = be32(payload, fc.Dst)
-		l.buf = appendRecord(l.buf, recFence, l.nextSeq, payload)
-		records++
-	}
-	if records == 0 && mark == 0 {
-		return nil // nothing applied, nothing to make durable
-	}
-	if mark > 0 {
-		l.buf = appendRecord(l.buf, recMark, l.nextSeq, be64(nil, mark))
-		records++
-	}
-	l.buf = appendRecord(l.buf, recCommit, l.nextSeq, nil)
-	records++
-	if err := l.flush(crashSiteEpoch); err != nil {
-		return err
-	}
-	obs.Add(obs.ClusterLogRecords, records)
-	obs.Add(obs.ClusterLogBytes, uint64(len(l.buf)))
-	obs.Observe(obs.HistClusterLogFlushNanos, uint64(obs.Clock()-start))
-	l.nextSeq++
-	l.beat()
-	return nil
+	return l.append(Epoch{Batches: batches, Fences: fences, Mark: mark}, crashSiteEpoch)
 }
 
 // AppendFence durably appends a fence epoch recording that the
@@ -297,32 +233,61 @@ func (l *ShardLog) LogReplicatedEpoch(batches [][]tuple.Tuple, fences []Fence, m
 // committed tuples inside the range from earlier epochs are dropped
 // (the destination shard logged them before this fence was written).
 func (l *ShardLog) AppendFence(lo, hi uint64, dst uint32) error {
+	return l.append(Epoch{Fences: []Fence{{Lo: lo, Hi: hi, Dst: dst}}}, crashSiteFence)
+}
+
+// append is the one log writer: it stamps ep with the next sequence
+// number, composes its records, writes and fsyncs them as one flush,
+// counts them, and wakes the tailers. An epoch carrying nothing — no
+// tuple, no fence, no mark — is skipped without consuming a sequence
+// number.
+func (l *ShardLog) append(ep Epoch, site CrashSite) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.crashed {
 		return ErrCrashed
 	}
-	if lo > hi {
-		return fmt.Errorf("cluster: fence range [%d, %d] inverted", lo, hi)
+	empty := len(ep.Fences) == 0 && ep.Mark == 0
+	for _, b := range ep.Batches {
+		empty = empty && len(b) == 0
+	}
+	if empty {
+		return nil
+	}
+	for _, fc := range ep.Fences {
+		if fc.Lo > fc.Hi {
+			return fmt.Errorf("cluster: fence range [%d, %d] inverted", fc.Lo, fc.Hi)
+		}
 	}
 	start := obs.Clock()
-	payload := make([]byte, 0, 20)
-	payload = be64(payload, lo)
-	payload = be64(payload, hi)
-	payload = be32(payload, dst)
-	l.buf = l.buf[:0]
-	l.buf = appendRecord(l.buf, recFence, l.nextSeq, payload)
-	l.buf = appendRecord(l.buf, recCommit, l.nextSeq, nil)
-	if err := l.flush(crashSiteFence); err != nil {
+	ep.Seq = l.nextSeq
+	var records int
+	l.buf, records = serve.AppendEpoch(l.buf[:0], &ep)
+	if err := l.flush(site); err != nil {
 		return err
 	}
-	obs.Add(obs.ClusterLogRecords, 2)
+	obs.Add(obs.ClusterLogRecords, uint64(records))
 	obs.Add(obs.ClusterLogBytes, uint64(len(l.buf)))
 	obs.Observe(obs.HistClusterLogFlushNanos, uint64(obs.Clock()-start))
 	l.nextSeq++
-	l.beat()
+	// Wake Pulse waiters.
+	close(l.pulse)
+	l.pulse = make(chan struct{})
 	return nil
 }
+
+// CrashSite identifies a log flush the logcrash injector may cut short:
+// one per durable append path. The injector sees which protocol step is
+// flushing and the exact size of the composed epoch buffer, so a test
+// can compute byte-precise kill points — mid-record, between a record
+// and its commit marker, or after a complete but checksum-less prefix.
+// Inert in default builds.
+type CrashSite uint8
+
+const (
+	crashSiteEpoch CrashSite = iota
+	crashSiteFence
+)
 
 // flush writes the composed epoch buffer and fsyncs. In logcrash
 // builds an installed injector may cut the write short at the given
@@ -354,192 +319,6 @@ func (l *ShardLog) flush(site CrashSite) error {
 		return err
 	}
 	return nil
-}
-
-// appendInsertRecord frames one insert batch as a recInsert record.
-func appendInsertRecord(buf []byte, seq uint64, batch []tuple.Tuple) []byte {
-	payload := make([]byte, 0, 4+len(batch)*len(batch[0])*8)
-	payload = be32(payload, uint32(len(batch)))
-	for _, t := range batch {
-		for _, w := range t {
-			payload = be64(payload, w)
-		}
-	}
-	return appendRecord(buf, recInsert, seq, payload)
-}
-
-// appendRecord frames one record: bodyLen, body (kind + seq + payload),
-// crc32 of the body.
-func appendRecord(buf []byte, kind byte, seq uint64, payload []byte) []byte {
-	bodyLen := 1 + 8 + len(payload)
-	buf = be32(buf, uint32(bodyLen))
-	bodyStart := len(buf)
-	buf = append(buf, kind)
-	buf = be64(buf, seq)
-	buf = append(buf, payload...)
-	return be32(buf, crc32.ChecksumIEEE(buf[bodyStart:]))
-}
-
-func be32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func be64(b []byte, v uint64) []byte {
-	return append(b, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func rd32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func rd64(b []byte) uint64 {
-	return uint64(rd32(b))<<32 | uint64(rd32(b[4:]))
-}
-
-// Fence is one replayed recFence: committed tuples with leading column
-// in [Lo, Hi] from epochs before it belong to shard Dst. Followers
-// receiving a fence in their epoch stream retire the range from their
-// tree (the destination shard's followers stream it independently).
-type Fence struct {
-	// Lo and Hi bound the moved leading-column range, inclusive.
-	Lo, Hi uint64
-	// Dst is the shard the range was handed to.
-	Dst uint32
-}
-
-// Epoch is one committed log epoch as decoded by the shared decode path
-// (replay and LogTailer alike): the insert batches and fences in log
-// order, plus the replication watermark if the epoch carried one.
-type Epoch struct {
-	// Seq is the epoch's sequence number (consecutive from 1).
-	Seq uint64
-	// Batches holds one tuple slice per insert record, in record order.
-	Batches [][]tuple.Tuple
-	// Fences holds the epoch's fence records, applied at commit to all
-	// tuples committed so far (this epoch's batches included).
-	Fences []Fence
-	// Mark is the epoch's replication watermark (0 if none): the
-	// leader-log epoch a follower applied when it logged this epoch.
-	Mark uint64
-}
-
-// decodeEpoch decodes one committed epoch from the front of data. It
-// returns (nil, 0, nil) when data holds no complete committed epoch yet
-// — an incomplete record or a missing commit marker, i.e. a (possibly
-// still in-flight) torn tail the caller may retry after more bytes
-// arrive. Complete-but-invalid records are ErrLogCorrupt. base is the
-// file offset of data[0], used only in error messages. This is the one
-// decode path: crash-recovery replay and the replication tailer both
-// call it.
-func decodeEpoch(data []byte, base int64, wantSeq uint64, arity int) (*Epoch, int, error) {
-	ep := &Epoch{Seq: wantSeq}
-	off := 0
-	for {
-		if len(data)-off < 4 {
-			return nil, 0, nil
-		}
-		bodyLen := int(rd32(data[off:]))
-		if bodyLen < 9 || bodyLen > maxRecordBody {
-			return nil, 0, fmt.Errorf("%w: record at offset %d has implausible length %d", ErrLogCorrupt, base+int64(off), bodyLen)
-		}
-		if len(data)-off < 4+bodyLen+4 {
-			return nil, 0, nil
-		}
-		body := data[off+4 : off+4+bodyLen]
-		wantCRC := rd32(data[off+4+bodyLen:])
-		if crc32.ChecksumIEEE(body) != wantCRC {
-			return nil, 0, fmt.Errorf("%w: record at offset %d fails its checksum", ErrLogCorrupt, base+int64(off))
-		}
-		kind, recSeq, payload := body[0], rd64(body[1:]), body[9:]
-		if recSeq != wantSeq {
-			// Covers epoch 0 too: the writer numbers epochs from 1, so
-			// wantSeq is always >= 1 and a record claiming 0 cannot match.
-			return nil, 0, fmt.Errorf("%w: record at offset %d carries epoch %d, want %d", ErrLogCorrupt, base+int64(off), recSeq, wantSeq)
-		}
-		switch kind {
-		case recInsert:
-			if len(payload) < 4 {
-				return nil, 0, fmt.Errorf("%w: insert record at offset %d truncated", ErrLogCorrupt, base+int64(off))
-			}
-			count := int(rd32(payload))
-			payload = payload[4:]
-			if len(payload) != count*arity*8 {
-				return nil, 0, fmt.Errorf("%w: insert record at offset %d declares %d tuples but carries %d bytes", ErrLogCorrupt, base+int64(off), count, len(payload))
-			}
-			batch := make([]tuple.Tuple, 0, count)
-			for i := 0; i < count; i++ {
-				t := make(tuple.Tuple, arity)
-				for j := 0; j < arity; j++ {
-					t[j] = rd64(payload[(i*arity+j)*8:])
-				}
-				batch = append(batch, t)
-			}
-			ep.Batches = append(ep.Batches, batch)
-		case recFence:
-			if len(payload) != 20 {
-				return nil, 0, fmt.Errorf("%w: fence record at offset %d malformed", ErrLogCorrupt, base+int64(off))
-			}
-			ep.Fences = append(ep.Fences, Fence{Lo: rd64(payload), Hi: rd64(payload[8:]), Dst: rd32(payload[16:])})
-		case recMark:
-			if len(payload) != 8 {
-				return nil, 0, fmt.Errorf("%w: mark record at offset %d malformed", ErrLogCorrupt, base+int64(off))
-			}
-			ep.Mark = rd64(payload)
-		case recCommit:
-			if len(payload) != 0 {
-				return nil, 0, fmt.Errorf("%w: commit marker at offset %d carries payload", ErrLogCorrupt, base+int64(off))
-			}
-			return ep, off + 4 + bodyLen + 4, nil
-		default:
-			return nil, 0, fmt.Errorf("%w: record at offset %d has unknown kind %d", ErrLogCorrupt, base+int64(off), kind)
-		}
-		off += 4 + bodyLen + 4
-	}
-}
-
-// replay decodes data, applying the committed prefix, and returns the
-// recovery plus the byte length of the valid prefix (the truncation
-// point for trailing crash artifacts). Complete-but-invalid records
-// inside the file are ErrLogCorrupt; an incomplete trailing record or
-// uncommitted trailing epoch is silently dropped.
-func replay(data []byte, arity int) (*Recovery, int64, error) {
-	rec := &Recovery{}
-	var committed []tuple.Tuple
-	off := 0
-	for off < len(data) {
-		ep, n, err := decodeEpoch(data[off:], int64(off), rec.Epochs+1, arity)
-		if err != nil {
-			return nil, 0, err
-		}
-		if ep == nil {
-			// Trailing bytes with no commit marker: the flush was cut
-			// mid-epoch, nothing in it was acked.
-			rec.TornTail = true
-			break
-		}
-		for _, b := range ep.Batches {
-			committed = append(committed, b...)
-		}
-		for _, fc := range ep.Fences {
-			kept := committed[:0]
-			for _, t := range committed {
-				if t[0] >= fc.Lo && t[0] <= fc.Hi {
-					rec.Dropped++
-					continue
-				}
-				kept = append(kept, t)
-			}
-			committed = kept
-		}
-		if ep.Mark > rec.Watermark {
-			rec.Watermark = ep.Mark
-		}
-		rec.Epochs++
-		off += n
-	}
-	rec.Tuples = committed
-	return rec, int64(off), nil
 }
 
 // BuildTree sorts and deduplicates the replayed tuples and bulk-loads

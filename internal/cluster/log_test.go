@@ -1,13 +1,24 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 
+	"specbtree/internal/serve"
 	"specbtree/internal/tuple"
+)
+
+// The record kinds of the log format (serve/epoch.go), restated here so
+// the test helpers that walk the framing by hand — epochEnd and the
+// logcrash naive replayer — stay independent of the codec under test.
+const (
+	recInsert = 1
+	recCommit = 2
+	recFence  = 3
 )
 
 // mkTuples builds n arity-2 tuples (base+i, i).
@@ -251,9 +262,7 @@ func TestShardLogRejectsBitrot(t *testing.T) {
 // replay as committed.
 func TestShardLogRejectsEpochZero(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shard0.log")
-	var raw []byte
-	raw = appendInsertRecord(raw, 0, mkTuples(0, 3))
-	raw = appendRecord(raw, recCommit, 0, nil)
+	raw, _ := serve.AppendEpoch(nil, &Epoch{Seq: 0, Batches: [][]tuple.Tuple{mkTuples(0, 3)}})
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +316,7 @@ func epochEnd(t *testing.T, data []byte, n int) int {
 	t.Helper()
 	off, epochs := 0, 0
 	for off < len(data) {
-		bodyLen := int(rd32(data[off:]))
+		bodyLen := int(binary.BigEndian.Uint32(data[off:]))
 		kind := data[off+4]
 		off += 4 + bodyLen + 4
 		if kind == recCommit {

@@ -8,16 +8,6 @@ package cluster
 // entirely.
 const CrashInjecting = false
 
-// CrashSite identifies a log flush an injector may cut short. Inert in
-// default builds.
-type CrashSite uint8
-
-// The crash sites, mirrored in logcrash_on.go.
-const (
-	crashSiteEpoch CrashSite = iota
-	crashSiteFence
-)
-
 // crashCut is the no-op stand-in for the crash injector in default
 // builds.
 func crashCut(CrashSite, int) (int, bool) { return 0, false }

@@ -8,19 +8,6 @@ import "sync/atomic"
 // compiled in. True only under the "logcrash" build tag.
 const CrashInjecting = true
 
-// CrashSite identifies a log flush an injector may cut short.
-type CrashSite uint8
-
-// The crash sites: one per durable append path. The injector sees
-// which protocol step is flushing and the exact size of the composed
-// epoch buffer, so a test can compute byte-precise kill points —
-// mid-record, between a record and its commit marker, or after a
-// complete but checksum-less prefix.
-const (
-	crashSiteEpoch CrashSite = iota
-	crashSiteFence
-)
-
 // CrashSiteEpoch is LogEpoch's single flush of insert record(s) plus
 // commit marker.
 const CrashSiteEpoch = crashSiteEpoch

@@ -3,11 +3,13 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"specbtree/internal/serve"
 	"specbtree/internal/tuple"
 )
 
@@ -34,7 +36,7 @@ func naiveReplay(data []byte, arity int) []tuple.Tuple {
 		if len(data)-off < 4 {
 			break
 		}
-		bodyLen := int(rd32(data[off:]))
+		bodyLen := int(binary.BigEndian.Uint32(data[off:]))
 		end := off + 4 + bodyLen
 		if end > len(data) {
 			end = len(data)
@@ -45,7 +47,7 @@ func naiveReplay(data []byte, arity int) []tuple.Tuple {
 			switch kind {
 			case recInsert:
 				if len(payload) >= 4 {
-					count := int(rd32(payload))
+					count := int(binary.BigEndian.Uint32(payload))
 					payload = payload[4:]
 					if avail := len(payload) / (arity * 8); avail < count {
 						count = avail // decode the torn record's partial tuples
@@ -53,14 +55,14 @@ func naiveReplay(data []byte, arity int) []tuple.Tuple {
 					for i := 0; i < count; i++ {
 						tt := make(tuple.Tuple, arity)
 						for j := 0; j < arity; j++ {
-							tt[j] = rd64(payload[(i*arity+j)*8:])
+							tt[j] = binary.BigEndian.Uint64(payload[(i*arity+j)*8:])
 						}
 						out = append(out, tt)
 					}
 				}
 			case recFence:
 				if len(payload) >= 16 {
-					lo, hi := rd64(payload), rd64(payload[8:])
+					lo, hi := binary.BigEndian.Uint64(payload), binary.BigEndian.Uint64(payload[8:])
 					kept := out[:0]
 					for _, tt := range out {
 						if tt[0] >= lo && tt[0] <= hi {
@@ -326,9 +328,7 @@ func TestNaiveNonTruncationCorruptsAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var epoch []byte
-	epoch = appendInsertRecord(epoch, 3, mkTuples(700, 2))
-	epoch = appendRecord(epoch, recCommit, 3, nil)
+	epoch, _ := serve.AppendEpoch(nil, &Epoch{Seq: 3, Batches: [][]tuple.Tuple{mkTuples(700, 2)}})
 	if _, err := f.Write(epoch); err != nil {
 		t.Fatal(err)
 	}

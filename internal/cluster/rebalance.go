@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"specbtree/internal/core"
 	"specbtree/internal/obs"
 	"specbtree/internal/tuple"
 )
@@ -111,35 +110,10 @@ func (c *Cluster) MoveRange(lo, hi uint64, dst int, opts MoveOptions) error {
 	}
 	c.src.Set(cut)
 
-	srcSrv, dstSrv := c.Shard(src), c.Shard(dst)
-
-	// 2. Barrier: flush the source's write pipeline so the snapshot
-	// holds every insert routed to it before the cut was visible.
-	if err := srcSrv.Barrier(); err != nil {
-		return c.abort(cut, opts.ChunkSize, fmt.Errorf("cluster: move barrier on shard %d: %w", src, err))
-	}
-
-	// 3. Snapshot the source and export the moving range.
-	snap, err := srcSrv.SnapshotNow()
+	// 2–4. Barrier, snapshot + export, chunked import into dst.
+	moved, err := c.copyRange(src, dst, lo, hi, opts.ChunkSize, opts.Pace)
 	if err != nil {
-		return c.abort(cut, opts.ChunkSize, fmt.Errorf("cluster: move snapshot on shard %d: %w", src, err))
-	}
-	moved := exportRange(snap, lo, hi)
-
-	// 4. Import into the destination in chunks, through its write
-	// scheduler: logged before acknowledgement, phase-disciplined
-	// against concurrent readers, idempotent under re-import.
-	for off := 0; off < len(moved); off += opts.ChunkSize {
-		end := off + opts.ChunkSize
-		if end > len(moved) {
-			end = len(moved)
-		}
-		if _, err := dstSrv.Apply(moved[off:end]); err != nil {
-			return c.abort(cut, opts.ChunkSize, fmt.Errorf("cluster: move import into shard %d: %w", dst, err))
-		}
-		if opts.Pace > 0 && end < len(moved) {
-			time.Sleep(opts.Pace)
-		}
+		return c.abort(cut, opts.ChunkSize, fmt.Errorf("cluster: move: %w", err))
 	}
 
 	if opts.hookBeforeFence != nil {
@@ -157,13 +131,10 @@ func (c *Cluster) MoveRange(lo, hi uint64, dst int, opts MoveOptions) error {
 	if srcLog != nil {
 		if err := srcLog.AppendFence(lo, hi, uint32(dst)); err != nil {
 			// The fence may be partially durable, so source ownership is
-			// unrecoverable (see the contract above): finalize to dst,
-			// which holds the range durably, and count the failed fence.
+			// unrecoverable (see the contract above): count the failed
+			// fence and finalize to dst, which holds the range durably,
+			// like a successful move.
 			obs.Inc(obs.ClusterRebalanceFenceFailures)
-			c.src.Set(cut.finalized())
-			obs.Inc(obs.ClusterRebalanceMoves)
-			obs.Add(obs.ClusterRebalanceTuples, uint64(len(moved)))
-			return nil
 		}
 	}
 
@@ -174,7 +145,7 @@ func (c *Cluster) MoveRange(lo, hi uint64, dst int, opts MoveOptions) error {
 	}
 	c.src.Set(fin)
 	obs.Inc(obs.ClusterRebalanceMoves)
-	obs.Add(obs.ClusterRebalanceTuples, uint64(len(moved)))
+	obs.Add(obs.ClusterRebalanceTuples, uint64(moved))
 	return nil
 }
 
@@ -199,41 +170,50 @@ func (c *Cluster) abort(cut *ShardMap, chunkSize int, cause error) error {
 }
 
 // reconcile completes a published draining overlay: the destination's
-// tuples in the draining range are copied back to the source (barrier,
-// snapshot, chunked logged import — the forward move mirrored), then
+// tuples in the draining range are copied back to the source (copyRange
+// — the forward move mirrored), then
 // the overlay clears with another version bump. Inserts acked by the
 // destination after its barrier here were necessarily submitted under
 // the pre-drain cut map, so the routing client's version revalidation
 // resubmits them to the source; the source's copy converges either way.
 func (c *Cluster) reconcile(m *ShardMap, chunkSize int) error {
 	mv := m.Moving
-	srcSrv, dstSrv := c.Shard(mv.Src), c.Shard(mv.Dst)
-	if err := dstSrv.Barrier(); err != nil {
-		return fmt.Errorf("cluster: drain barrier on shard %d: %w", mv.Dst, err)
-	}
-	snap, err := dstSrv.SnapshotNow()
-	if err != nil {
-		return fmt.Errorf("cluster: drain snapshot on shard %d: %w", mv.Dst, err)
-	}
-	back := exportRange(snap, mv.Lo, mv.Hi)
-	for off := 0; off < len(back); off += chunkSize {
-		end := off + chunkSize
-		if end > len(back) {
-			end = len(back)
-		}
-		if _, err := srcSrv.Apply(back[off:end]); err != nil {
-			return fmt.Errorf("cluster: drain import into shard %d: %w", mv.Src, err)
-		}
+	if _, err := c.copyRange(mv.Dst, mv.Src, mv.Lo, mv.Hi, chunkSize, 0); err != nil {
+		return fmt.Errorf("cluster: drain: %w", err)
 	}
 	c.src.Set(m.withoutMoving())
 	return nil
 }
 
-// exportRange materialises the leading-column range [lo, hi]
-// (inclusive) from a shard snapshot.
-func exportRange(snap core.Snapshot, lo, hi uint64) []tuple.Tuple {
+// copyRange copies the leading-column range [lo, hi] (inclusive) from
+// shard `from` to shard `to` while both keep serving — steps 2–4 of
+// MoveRange, and mirrored, the drain of an aborted one: barrier on the
+// source, snapshot + export, then the import in chunks through the
+// destination's write scheduler (logged before acknowledgement,
+// phase-disciplined against concurrent readers, idempotent under
+// re-import), sleeping pace between chunks to bound the write pressure.
+// It returns the number of tuples copied.
+func (c *Cluster) copyRange(from, to int, lo, hi uint64, chunk int, pace time.Duration) (int, error) {
+	fromSrv, toSrv := c.Shard(from), c.Shard(to)
+	if err := fromSrv.Barrier(); err != nil {
+		return 0, fmt.Errorf("barrier on shard %d: %w", from, err)
+	}
+	snap, err := fromSrv.SnapshotNow()
+	if err != nil {
+		return 0, fmt.Errorf("snapshot on shard %d: %w", from, err)
+	}
 	arity := snap.Arity()
-	from := tuple.PrefixLowerBound(tuple.Tuple{lo}, arity)
-	to := tuple.PrefixUpperBound(tuple.Tuple{hi}, arity) // nil when hi = MaxUint64
-	return snap.ExportRange(from, to)
+	rangeLo := tuple.PrefixLowerBound(tuple.Tuple{lo}, arity)
+	rangeHi := tuple.PrefixUpperBound(tuple.Tuple{hi}, arity) // nil when hi = MaxUint64
+	moved := snap.ExportRange(rangeLo, rangeHi)
+	for off := 0; off < len(moved); off += chunk {
+		end := min(off+chunk, len(moved))
+		if _, err := toSrv.Apply(moved[off:end]); err != nil {
+			return 0, fmt.Errorf("import into shard %d: %w", to, err)
+		}
+		if pace > 0 && end < len(moved) {
+			time.Sleep(pace)
+		}
+	}
+	return len(moved), nil
 }

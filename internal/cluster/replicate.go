@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"specbtree/internal/serve"
 )
@@ -16,59 +15,22 @@ import (
 // commands it through the FollowerHandle interface so the import
 // direction stays replica -> cluster -> serve.
 
-// ReplicaSource adapts the shard log to serve.ReplicaSource: committed
-// epochs are read back through a tailing reader (LogTailer) sharing
-// recovery's decode path, and idle streamers block on the log's flush
-// pulse. Wired into serve.Options.Replica on every leader with a log.
-func (l *ShardLog) ReplicaSource() serve.ReplicaSource { return logSource{l} }
+// ReplicaSource is the shard log as a replication source
+// (serve.Options.Replica on every leader with a log): committed epochs
+// are read back through a LogTailer — recovery's reader — and idle
+// streamers block on the log's flush pulse.
+func (l *ShardLog) ReplicaSource() serve.ReplicaSource { return l }
 
-type logSource struct{ l *ShardLog }
-
-func (s logSource) CommittedSeq() uint64 { return s.l.CommittedSeq() }
-
-func (s logSource) TailEpochs(after uint64) (serve.EpochTailer, error) {
-	t, err := TailShardLog(s.l.path, s.l.arity, after)
+// TailEpochs opens a tailer positioned after the given epoch
+// (serve.ReplicaSource).
+func (l *ShardLog) TailEpochs(after uint64) (serve.EpochTailer, error) {
+	t, err := TailShardLog(l.path, l.arity, after)
 	if err != nil {
 		return nil, err
 	}
-	return &logEpochTailer{t: t, l: s.l}, nil
+	t.log = l
+	return t, nil
 }
-
-// logEpochTailer adapts LogTailer to serve.EpochTailer.
-type logEpochTailer struct {
-	t *LogTailer
-	l *ShardLog
-}
-
-func (lt *logEpochTailer) Next() (serve.ReplEpoch, bool, error) {
-	ep, ok, err := lt.t.Next()
-	if err != nil || !ok {
-		return serve.ReplEpoch{}, false, err
-	}
-	out := serve.ReplEpoch{Seq: ep.Seq, Batches: ep.Batches}
-	for _, f := range ep.Fences {
-		out.Fences = append(out.Fences, serve.ReplFence{Lo: f.Lo, Hi: f.Hi, Dst: f.Dst})
-	}
-	return out, true, nil
-}
-
-// Wait blocks until the log pulses a flush, stop closes, or max
-// elapses. The pulse channel is grabbed after Next already reported
-// "nothing yet", so a flush racing the two calls is noticed at worst
-// one max later — which is why streamers keep max at their heartbeat
-// interval.
-func (lt *logEpochTailer) Wait(stop <-chan struct{}, max time.Duration) {
-	p := lt.l.Pulse()
-	timer := time.NewTimer(max)
-	defer timer.Stop()
-	select {
-	case <-p:
-	case <-stop:
-	case <-timer.C:
-	}
-}
-
-func (lt *logEpochTailer) Close() error { return lt.t.Close() }
 
 // Directory publishes the live shard address table to routing clients.
 // Promotion repoints a shard's address at the promoted follower; a

@@ -86,21 +86,7 @@ func (s *StaticMap) Set(m *ShardMap) { s.m.Store(m) }
 // leading-column axis split into n near-equal contiguous ranges, shard
 // i owning the i-th.
 func UniformMap(n int) *ShardMap {
-	if n < 1 {
-		panic("cluster: UniformMap needs at least one shard")
-	}
-	width := ^uint64(0)/uint64(n) + 1 // per-shard span, rounding up
-	entries := make([]MapEntry, n)
-	lo := uint64(0)
-	for i := 0; i < n; i++ {
-		hi := lo + width - 1
-		if i == n-1 || hi < lo { // overflow on the last stripe
-			hi = ^uint64(0)
-		}
-		entries[i] = MapEntry{Lo: lo, Hi: hi, Shard: i}
-		lo = hi + 1
-	}
-	return &ShardMap{Version: 1, Entries: entries}
+	return bands(n, ^uint64(0)/uint64(max(n, 1))+1) // per-shard span, rounding up
 }
 
 // BandMap partitions [0, keySpace) into equal bands, one per shard in
@@ -108,18 +94,20 @@ func UniformMap(n int) *ShardMap {
 // starting map for workloads whose leading keys occupy a small prefix
 // of the axis, where UniformMap would put everything on shard 0.
 func BandMap(shards int, keySpace uint64) *ShardMap {
+	return bands(shards, max(keySpace/uint64(max(shards, 1)), 1))
+}
+
+// bands builds the map whose shard i owns the i-th width-wide stripe of
+// the axis, the last shard keeping everything from its stripe on.
+func bands(shards int, width uint64) *ShardMap {
 	if shards < 1 {
-		panic("cluster: BandMap needs at least one shard")
-	}
-	band := keySpace / uint64(shards)
-	if band == 0 {
-		band = 1
+		panic("cluster: a shard map needs at least one shard")
 	}
 	entries := make([]MapEntry, shards)
 	lo := uint64(0)
-	for i := 0; i < shards; i++ {
-		hi := lo + band - 1
-		if i == shards-1 || hi < lo {
+	for i := range entries {
+		hi := lo + width - 1
+		if i == shards-1 || hi < lo { // the last stripe, or overflow
 			hi = ^uint64(0)
 		}
 		entries[i] = MapEntry{Lo: lo, Hi: hi, Shard: i}
@@ -230,42 +218,37 @@ type run struct {
 func (m *ShardMap) runs() []run {
 	out := make([]run, 0, len(m.Entries)+2)
 	for _, e := range m.Entries {
-		segs := [][2]uint64{{e.Lo, e.Hi}}
-		if m.Moving.Active && m.Moving.Lo <= e.Hi && m.Moving.Hi >= e.Lo {
-			mv := m.Moving
-			segs = segs[:0]
-			if e.Lo < mv.Lo {
-				segs = append(segs, [2]uint64{e.Lo, mv.Lo - 1})
-			}
-			olo, ohi := max64(e.Lo, mv.Lo), min64(e.Hi, mv.Hi)
-			segs = append(segs, [2]uint64{olo, ohi})
-			if e.Hi > mv.Hi {
-				segs = append(segs, [2]uint64{mv.Hi + 1, e.Hi})
-			}
+		if !m.Moving.overlaps(e) {
+			out = append(out, run{lo: e.Lo, hi: e.Hi, shards: [2]int{e.Shard, -1}})
+			continue
 		}
-		for _, sg := range segs {
-			r := run{lo: sg[0], hi: sg[1], shards: [2]int{e.Shard, -1}}
-			if m.Moving.Active && sg[0] >= m.Moving.Lo && sg[1] <= m.Moving.Hi {
+		m.Moving.carve(e, func(lo, hi uint64, inside bool) {
+			r := run{lo: lo, hi: hi, shards: [2]int{e.Shard, -1}}
+			if inside {
 				r.shards = [2]int{m.Moving.Src, m.Moving.Dst}
 			}
 			out = append(out, r)
-		}
+		})
 	}
 	return out
 }
 
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+// overlaps reports whether the range is active and intersects entry e.
+func (mv Moving) overlaps(e MapEntry) bool {
+	return mv.Active && mv.Lo <= e.Hi && mv.Hi >= e.Lo
 }
 
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
+// carve cuts entry e, which the range overlaps, into the stretch before
+// the range, the overlap (inside = true), and the stretch after, in key
+// order.
+func (mv Moving) carve(e MapEntry, emit func(lo, hi uint64, inside bool)) {
+	if e.Lo < mv.Lo {
+		emit(e.Lo, mv.Lo-1, false)
 	}
-	return b
+	emit(max(e.Lo, mv.Lo), min(e.Hi, mv.Hi), true)
+	if e.Hi > mv.Hi {
+		emit(mv.Hi+1, e.Hi, false)
+	}
 }
 
 // withMoving returns a copy of m with the moving overlay installed and
@@ -305,17 +288,17 @@ func (m *ShardMap) finalized() *ShardMap {
 	mv := m.Moving
 	var entries []MapEntry
 	for _, e := range m.Entries {
-		if mv.Lo > e.Hi || mv.Hi < e.Lo {
+		if !mv.overlaps(e) {
 			entries = append(entries, e)
 			continue
 		}
-		if e.Lo < mv.Lo {
-			entries = append(entries, MapEntry{Lo: e.Lo, Hi: mv.Lo - 1, Shard: e.Shard})
-		}
-		entries = append(entries, MapEntry{Lo: max64(e.Lo, mv.Lo), Hi: min64(e.Hi, mv.Hi), Shard: mv.Dst})
-		if e.Hi > mv.Hi {
-			entries = append(entries, MapEntry{Lo: mv.Hi + 1, Hi: e.Hi, Shard: e.Shard})
-		}
+		mv.carve(e, func(lo, hi uint64, inside bool) {
+			piece := MapEntry{Lo: lo, Hi: hi, Shard: e.Shard}
+			if inside {
+				piece.Shard = mv.Dst
+			}
+			entries = append(entries, piece)
+		})
 	}
 	coalesced := entries[:1]
 	for _, e := range entries[1:] {

@@ -138,52 +138,6 @@ func TestTailerTornTailRetry(t *testing.T) {
 	sameTuples(t, ep.Batches[0], batch)
 }
 
-// TestTailerResumeFromOffset captures (Offset, Seq) mid-log and resumes
-// a fresh tailer there, skipping the fast-forward decode.
-func TestTailerResumeFromOffset(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "shard0.log")
-	l, _, err := OpenShardLog(path, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	for e := 0; e < 6; e++ {
-		if err := l.LogEpoch([][]tuple.Tuple{mkTuples(uint64(e*10), 2)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	tail, err := TailShardLog(path, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, ok, err := tail.Next(); err != nil || !ok {
-			t.Fatalf("Next = ok=%v err=%v", ok, err)
-		}
-	}
-	off, seq := tail.Offset(), tail.Seq()
-	tail.Close()
-
-	resumed, err := ResumeShardLog(path, 2, off, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resumed.Close()
-	for want := seq + 1; want <= 6; want++ {
-		ep, ok, err := resumed.Next()
-		if err != nil || !ok {
-			t.Fatalf("resumed Next = ok=%v err=%v", ok, err)
-		}
-		if ep.Seq != want {
-			t.Fatalf("resumed epoch %d, want %d", ep.Seq, want)
-		}
-	}
-	if _, ok, err := resumed.Next(); err != nil || ok {
-		t.Fatalf("past end: Next = ok=%v err=%v, want no epoch", ok, err)
-	}
-}
-
 // TestTailerCorruptionIsPermanent flips a byte inside a committed
 // epoch's body: the tailer must surface ErrLogCorrupt, not retry.
 func TestTailerCorruptionIsPermanent(t *testing.T) {

@@ -303,3 +303,52 @@ func TestConcurrentMixedHintReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConcurrentLeapfrogRuns is the regression test for the inner-split
+// sibling race: hinted writers insert ascending runs from interleaved
+// partitions (worker w takes partitions w, w+W, …), so one writer sits
+// on a leaf via its hint while a neighbour's run splits that leaf's
+// parent. A fresh inner sibling that is reachable through the moved
+// children's parent pointers but not write-locked lets the sitting
+// writer insert into it concurrently with the splitter, losing a
+// separator and its subtree. The trees are small (three levels at
+// capacity 16) and many, because the window is one inner split wide:
+// what matters is the number of inner splits raced, not the tree size.
+func TestConcurrentLeapfrogRuns(t *testing.T) {
+	const keys, capacity = 600, 16
+	rounds := 1500
+	if testing.Short() {
+		rounds = 300
+	}
+	for round := 0; round < rounds; round++ {
+		workers := 2 + round%3
+		parts := workers * 4
+		per := keys / parts
+		tr := New(1, Options{Capacity: capacity})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				h := NewHints()
+				for p := w; p < parts; p += workers {
+					for k := p * per; k < (p+1)*per; k++ {
+						tr.InsertHint(tuple.Tuple{uint64(k)}, h)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if err := tr.Check(); err != nil {
+			t.Fatalf("round %d (%d workers): %v", round, workers, err)
+		}
+		if got, want := tr.Len(), parts*per; got != want {
+			t.Fatalf("round %d (%d workers): Len = %d, want %d", round, workers, got, want)
+		}
+		for k := 0; k < parts*per; k++ {
+			if !tr.Contains(tuple.Tuple{uint64(k)}) {
+				t.Fatalf("round %d (%d workers): key %d missing", round, workers, k)
+			}
+		}
+	}
+}

@@ -397,10 +397,13 @@ func (t *Tree) split(n *node, oc *obs.OpCounts) {
 		parent = cur.parent.Load()
 	}
 
-	// Conduct the actual split (line 26).
-	t.doSplit(n, oc)
+	// Conduct the actual split (line 26). siblings collects the fresh
+	// inner siblings doSplit created write-locked, topmost first.
+	var siblings []*node
+	t.doSplit(n, oc, &siblings)
 
-	// Unlock the path top-down (lines 28-35).
+	// Unlock the path top-down (lines 28-35), then the inner siblings:
+	// every mutation is done, so the release order among them is free.
 	for i := len(path) - 1; i >= 0; i-- {
 		if path[i] != nil {
 			path[i].lock.EndWrite()
@@ -408,17 +411,22 @@ func (t *Tree) split(n *node, oc *obs.OpCounts) {
 			t.rootLock.EndWrite()
 		}
 	}
+	for _, s := range siblings {
+		s.lock.EndWrite()
+	}
 }
 
 // doSplit splits the full node n, propagating splits up the (already
 // locked) ancestor path as needed. n and every full ancestor are write
 // locked; the first non-full ancestor (or the root lock) is locked too.
-func (t *Tree) doSplit(n *node, oc *obs.OpCounts) {
+// Fresh inner siblings are created write-locked and appended to locked;
+// the caller releases them once the whole split is done.
+func (t *Tree) doSplit(n *node, oc *obs.OpCounts, locked *[]*node) {
 	parent := n.parent.Load()
 	if parent != nil && parent.full(t.arity) {
 		// Make room above first. Splitting the parent may migrate n into
 		// the parent's new sibling, so re-read n's parent afterwards.
-		t.doSplit(parent, oc)
+		t.doSplit(parent, oc, locked)
 		parent = n.parent.Load()
 	}
 	if n.inner {
@@ -432,12 +440,23 @@ func (t *Tree) doSplit(n *node, oc *obs.OpCounts) {
 	mid := cnt / 2
 
 	// Half of the elements stay, the median moves up, the rest move to a
-	// fresh right sibling. The sibling is unreachable until the locked
-	// parent exposes it, so it needs no locking yet.
+	// fresh right sibling. A leaf sibling is unreachable until the locked
+	// parent exposes it, so it needs no locking. An inner sibling is
+	// reachable the moment a moved child's parent pointer names it — a
+	// second writer holding that child's write lock would lock the
+	// sibling bottom-up and insert into it while this split (or the one
+	// of the level below, which may insert into the sibling too) is still
+	// mutating it. Algorithm 2's rule is that a node reachable through a
+	// parent pointer is write-locked by whoever still mutates it, so the
+	// inner sibling is born locked and split releases it at the end.
 	median := make([]uint64, arity)
 	n.loadRow(mid, arity, median)
 
 	sibling := t.newNode(n.inner)
+	if n.inner {
+		sibling.lock.StartWrite()
+		*locked = append(*locked, sibling)
+	}
 	moved := cnt - mid - 1
 	buf := make([]uint64, arity)
 	for i := 0; i < moved; i++ {
@@ -550,9 +569,13 @@ func (t *Tree) cow(leaf *node, oc *obs.OpCounts) {
 	// The whole new path becomes reachable only through the locked
 	// install point, so readers cannot observe it half-built.
 	var parentClone *node
+	var clones []*node // inner clones, write-locked until the path is built
 	for i := len(chain) - 1; i >= 0; i-- {
 		orig := chain[i]
 		cl := t.cloneNode(orig)
+		if cl.inner {
+			clones = append(clones, cl)
+		}
 		oc.Inc(obs.TreeCowClones)
 		orig.retired.Store(true)
 		pos := int(orig.pos.Load())
@@ -575,7 +598,8 @@ func (t *Tree) cow(leaf *node, oc *obs.OpCounts) {
 
 	// Unlock top-down. EndWrite throughout: every locked node was either
 	// mutated (the install point's child slot) or retired, and the
-	// version bump pushes lease holders off the old path.
+	// version bump pushes lease holders off the old path. The inner
+	// clones (born write-locked, see cloneNode) follow, topmost first.
 	for i := len(path) - 1; i >= 0; i-- {
 		if path[i] != nil {
 			path[i].lock.EndWrite()
@@ -583,14 +607,26 @@ func (t *Tree) cow(leaf *node, oc *obs.OpCounts) {
 			t.rootLock.EndWrite()
 		}
 	}
+	for _, cl := range clones {
+		cl.lock.EndWrite()
+	}
 }
 
 // cloneNode builds a current-epoch copy of n: same elements, same child
 // pointers, same position. The children's parent pointers are repointed
-// to the clone (covered by n's write lock, held by the caller). The
-// clone is unreachable until the caller installs it.
+// to the clone (covered by n's write lock, held by the caller). A leaf
+// clone is unreachable until the caller installs it. An inner clone is
+// reachable through its children's parent pointers while it is still
+// being filled in (count is stored last) and while cow installs the
+// on-path child below it, so — the sibling-lock rule of doSplit — it is
+// returned write-locked and cow releases it: a second writer holding one
+// of the children's write locks waits instead of treating the
+// half-built clone as its install point.
 func (t *Tree) cloneNode(n *node) *node {
 	cl := t.newNode(n.inner)
+	if n.inner {
+		cl.lock.StartWrite()
+	}
 	cnt := int(n.count.Load())
 	for w := 0; w < cnt*t.arity; w++ {
 		cl.keys[w].Store(n.keys[w].Load())

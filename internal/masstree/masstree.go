@@ -29,8 +29,17 @@ type Tree struct {
 }
 
 type node struct {
-	mu      sync.Mutex
-	version atomic.Uint64 // bumped on every mutation
+	mu sync.Mutex
+	// version is odd while a writer is mutating the node and bumped to
+	// the next even value when it is done (Masstree's dirty bit). A
+	// reader that sees an odd version retries; one that sees the same
+	// even version before and after its loads read a consistent node.
+	// Counting completed mutations alone is not enough: a reader that
+	// starts and finishes inside one mutation would validate a torn read
+	// — e.g. half-shifted separators of an inner node send an inserter to
+	// a leaf right of its key, which then holds a key below its
+	// separator.
+	version atomic.Uint64
 	leaf    bool
 
 	nkeys    atomic.Int32
@@ -38,6 +47,12 @@ type node struct {
 	children [fanout + 1]atomic.Pointer[node]
 	next     atomic.Pointer[node] // leaf chain
 }
+
+// beginWrite marks n as being mutated; the caller holds n.mu.
+func (n *node) beginWrite() { n.version.Add(1) }
+
+// endWrite publishes the mutation beginWrite announced.
+func (n *node) endWrite() { n.version.Add(1) }
 
 // New creates an empty tree.
 func New() *Tree {
@@ -58,7 +73,7 @@ retry:
 		for !n.leaf {
 			v1 := n.version.Load()
 			cnt := int(n.nkeys.Load())
-			if cnt > fanout {
+			if v1&1 != 0 || cnt > fanout {
 				continue retry
 			}
 			idx := 0
@@ -81,7 +96,7 @@ func (t *Tree) Contains(k uint64) bool {
 		leaf := t.findLeaf(k)
 		v1 := leaf.version.Load()
 		cnt := int(leaf.nkeys.Load())
-		if cnt > fanout {
+		if v1&1 != 0 || cnt > fanout {
 			continue
 		}
 		found := false
@@ -132,12 +147,13 @@ func (t *Tree) Insert(k uint64) bool {
 			return false
 		}
 		if cnt < fanout {
+			leaf.beginWrite()
 			for i := cnt; i > idx; i-- {
 				leaf.keys[i].Store(leaf.keys[i-1].Load())
 			}
 			leaf.keys[idx].Store(k)
 			leaf.nkeys.Store(int32(cnt + 1))
-			leaf.version.Add(1)
+			leaf.endWrite()
 			leaf.mu.Unlock()
 			t.size.Add(1)
 			return true
@@ -180,6 +196,7 @@ func (t *Tree) splitAndInsertLocked(k uint64) bool {
 			sep, right := t.splitChild(child)
 			// Insert sep/right into n (which has room by construction).
 			n.mu.Lock()
+			n.beginWrite()
 			cnt = int(n.nkeys.Load())
 			idx = 0
 			for idx < cnt && n.keys[idx].Load() <= sep {
@@ -194,7 +211,7 @@ func (t *Tree) splitAndInsertLocked(k uint64) bool {
 			n.keys[idx].Store(sep)
 			n.children[idx+1].Store(right)
 			n.nkeys.Store(int32(cnt + 1))
-			n.version.Add(1)
+			n.endWrite()
 			n.mu.Unlock()
 			if k >= sep {
 				child = right
@@ -219,12 +236,13 @@ func (t *Tree) splitAndInsertLocked(k uint64) bool {
 		leaf.mu.Unlock()
 		return false
 	}
+	leaf.beginWrite()
 	for i := cnt; i > idx; i-- {
 		leaf.keys[i].Store(leaf.keys[i-1].Load())
 	}
 	leaf.keys[idx].Store(k)
 	leaf.nkeys.Store(int32(cnt + 1))
-	leaf.version.Add(1)
+	leaf.endWrite()
 	leaf.mu.Unlock()
 	t.size.Add(1)
 	return true
@@ -234,6 +252,7 @@ func (t *Tree) splitAndInsertLocked(k uint64) bool {
 // right sibling. Caller holds t.mu and links the sibling into the parent.
 func (t *Tree) splitChild(n *node) (uint64, *node) {
 	n.mu.Lock()
+	n.beginWrite()
 	cnt := int(n.nkeys.Load())
 	mid := cnt / 2
 
@@ -260,7 +279,7 @@ func (t *Tree) splitChild(n *node) (uint64, *node) {
 		right.nkeys.Store(int32(cnt - mid - 1))
 		n.nkeys.Store(int32(mid))
 	}
-	n.version.Add(1)
+	n.endWrite()
 	n.mu.Unlock()
 	return sep, right
 }

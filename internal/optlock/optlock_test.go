@@ -238,7 +238,10 @@ func TestWritersMutualExclusion(t *testing.T) {
 // modification and never lose updates.
 func TestUpgradeContention(t *testing.T) {
 	var l Lock
-	var value int
+	// Atomic, like every word the tree reads under a lease: an optimistic
+	// read deliberately races with the writer and is validated afterwards,
+	// which is defined behaviour only for atomic accesses.
+	var value atomic.Int64
 	const target = 4000
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -247,7 +250,7 @@ func TestUpgradeContention(t *testing.T) {
 			defer wg.Done()
 			for {
 				lease := l.StartRead()
-				v := value
+				v := value.Load()
 				if !l.Valid(lease) {
 					continue
 				}
@@ -257,14 +260,14 @@ func TestUpgradeContention(t *testing.T) {
 				if !l.TryUpgradeToWrite(lease) {
 					continue // lost the race; retry
 				}
-				value = v + 1
+				value.Store(v + 1)
 				l.EndWrite()
 			}
 		}()
 	}
 	wg.Wait()
-	if value != target {
-		t.Errorf("value = %d, want %d (lost or duplicated updates)", value, target)
+	if got := value.Load(); got != target {
+		t.Errorf("value = %d, want %d (lost or duplicated updates)", got, target)
 	}
 }
 

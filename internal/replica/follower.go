@@ -60,8 +60,8 @@ type Options struct {
 	// ReconnectEvery paces stream reconnect attempts after a broken
 	// subscription (default 100ms).
 	ReconnectEvery time.Duration
-	// Serve tunes the follower's server; Arity, Tree, EpochLog,
-	// Follower, Stamp, Sharded and ShardID are overwritten.
+	// Serve tunes the follower's server; Arity, Tree, EpochLog, Stamp,
+	// Sharded and ShardID are overwritten.
 	Serve serve.Options
 }
 
@@ -96,8 +96,7 @@ type Follower struct {
 	// heartbeats, and the subscribe ack all carry it).
 	head atomic.Uint64
 	// healthy reports a live stream: frames arriving within StaleAfter.
-	healthy  atomic.Bool
-	promoted atomic.Bool
+	healthy atomic.Bool
 
 	mu sync.Mutex
 	rc *serve.ReplicaConn // live subscription, for teardown
@@ -133,7 +132,6 @@ func Start(opts Options) (*Follower, error) {
 	sopts.Arity = opts.Arity
 	sopts.Tree = cluster.BuildTree(rec.Tuples, opts.Arity)
 	sopts.EpochLog = nil // replication logs explicitly, per applied epoch
-	sopts.Follower = true
 	sopts.Stamp = f.stamp
 	sopts.Sharded = opts.Sharded
 	sopts.ShardID = opts.Shard
@@ -203,11 +201,10 @@ func (f *Follower) run() {
 func (f *Follower) streamOnce() {
 	after := f.applied.Load()
 	rc, err := serve.DialReplica(f.opts.Leader, serve.ReplicaDialOptions{
-		Arity:    f.opts.Arity,
-		Shard:    f.opts.Shard,
-		Sharded:  f.opts.Sharded,
-		Snapshot: after == 0,
-		After:    after,
+		Arity:   f.opts.Arity,
+		Shard:   f.opts.Shard,
+		Sharded: f.opts.Sharded,
+		After:   after,
 	})
 	if err != nil {
 		return
@@ -249,30 +246,20 @@ func (f *Follower) streamOnce() {
 			if err := f.applyBootstrapPage(m); err != nil {
 				return
 			}
+			continue
 		case serve.ReplicaEpochMsg:
-			seq := m.Epoch.Seq
-			cur := f.applied.Load()
-			if seq <= cur {
+			if m.Epoch.Seq <= f.applied.Load() {
 				continue // bootstrap overlap: already applied, idempotent to skip
 			}
-			if seq != cur+1 {
-				return // gap: resubscribe from the watermark
+			if err := f.applyEpoch(m.Epoch); err != nil {
+				return // apply failure or a gap: resubscribe from the watermark
 			}
-			fences := make([]cluster.Fence, 0, len(m.Epoch.Fences))
-			for _, fc := range m.Epoch.Fences {
-				fences = append(fences, cluster.Fence{Lo: fc.Lo, Hi: fc.Hi, Dst: fc.Dst})
-			}
-			if err := f.applyEpoch(seq, m.Epoch.Batches, fences); err != nil {
-				return
-			}
-			f.observeHead(m.Head)
-			f.healthy.Store(true)
-			obs.Observe(obs.HistReplicaLagEpochs, f.lag())
-		case serve.ReplicaHeartbeat:
-			f.observeHead(m.Head)
-			f.healthy.Store(true)
-			obs.Observe(obs.HistReplicaLagEpochs, f.lag())
 		}
+		// An epoch or a heartbeat: the leader is alive and named its head.
+		f.observeHead(m.Head)
+		f.healthy.Store(true)
+		applied, head, _ := f.stamp()
+		obs.Observe(obs.HistReplicaLagEpochs, head-applied)
 	}
 }
 
@@ -310,10 +297,15 @@ func (f *Follower) applyBootstrapPage(m serve.ReplicaMsg) error {
 // durable. A crash between apply and log recovers to the previous
 // watermark and re-applies this epoch from the stream; its batches
 // re-insert at most what its fences drop again, so fence retirement
-// stays effectively exactly-once.
-func (f *Follower) applyEpoch(seq uint64, batches [][]tuple.Tuple, fences []cluster.Fence) error {
+// stays effectively exactly-once. The epoch must extend the watermark by
+// exactly one: a gap means the stream (or the log being caught up from)
+// skipped an epoch, and applying past it would break prefix consistency.
+func (f *Follower) applyEpoch(ep *cluster.Epoch) error {
+	if applied := f.applied.Load(); ep.Seq != applied+1 {
+		return fmt.Errorf("replica: epoch %d does not extend watermark %d", ep.Seq, applied)
+	}
 	tuples := uint64(0)
-	for _, b := range batches {
+	for _, b := range ep.Batches {
 		if len(b) == 0 {
 			continue
 		}
@@ -322,16 +314,16 @@ func (f *Follower) applyEpoch(seq uint64, batches [][]tuple.Tuple, fences []clus
 		}
 		tuples += uint64(len(b))
 	}
-	for _, fc := range fences {
+	for _, fc := range ep.Fences {
 		if err := f.retire(fc); err != nil {
 			return err
 		}
 		obs.Inc(obs.ReplicaFencesApplied)
 	}
-	if err := f.log.LogReplicatedEpoch(batches, fences, seq); err != nil {
+	if err := f.log.LogReplicatedEpoch(ep.Batches, ep.Fences, ep.Seq); err != nil {
 		return err
 	}
-	f.applied.Store(seq)
+	f.applied.Store(ep.Seq)
 	obs.Inc(obs.ReplicaApplyEpochs)
 	obs.Add(obs.ReplicaApplyTuples, tuples)
 	return nil
@@ -371,12 +363,6 @@ func (f *Follower) observeHead(h uint64) {
 	}
 }
 
-// lag is the current staleness in epochs (head - applied).
-func (f *Follower) lag() uint64 {
-	a, h, _ := f.stamp()
-	return h - a
-}
-
 // stopStream stops the background stream loop and waits it out.
 // Idempotent.
 func (f *Follower) stopStream() {
@@ -411,10 +397,7 @@ func (f *Follower) CatchUpFromLog(path string) (uint64, error) {
 		if !ok {
 			return f.applied.Load(), nil
 		}
-		if ep.Seq != f.applied.Load()+1 {
-			return f.applied.Load(), fmt.Errorf("replica: catch-up epoch %d does not extend watermark %d", ep.Seq, f.applied.Load())
-		}
-		if err := f.applyEpoch(ep.Seq, ep.Batches, ep.Fences); err != nil {
+		if err := f.applyEpoch(ep); err != nil {
 			return f.applied.Load(), fmt.Errorf("replica: catch-up apply: %w", err)
 		}
 	}
@@ -428,21 +411,20 @@ func (f *Follower) CatchUpFromLog(path string) (uint64, error) {
 func (f *Follower) Promote() error {
 	f.stopStream()
 	f.srv.PromoteToLeader(f.log)
-	f.promoted.Store(true)
 	f.healthy.Store(true)
 	obs.Inc(obs.ReplicaPromotions)
 	return nil
 }
 
 // Promoted reports whether the follower has been promoted.
-func (f *Follower) Promoted() bool { return f.promoted.Load() }
+func (f *Follower) Promoted() bool { return f.srv.Promoted() }
 
 // Close stops the stream and — unless the follower was promoted, in
 // which case the cluster took ownership of its server and log — shuts
 // the server down and closes the log.
 func (f *Follower) Close() error {
 	f.stopStream()
-	if f.promoted.Load() {
+	if f.Promoted() {
 		return nil
 	}
 	err := f.srv.Close()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -28,6 +29,10 @@ var ErrTimeout = errors.New("serve: request timed out")
 // ErrClosed reports use of a closed client.
 var ErrClosed = errors.New("serve: client closed")
 
+// dialTimeout bounds connection establishment, for the data-plane
+// client and the replication subscriber alike.
+const dialTimeout = 5 * time.Second
+
 // ClientOptions configures Dial.
 type ClientOptions struct {
 	// Arity is the tuple width the client expects; 0 adopts the
@@ -35,14 +40,11 @@ type ClientOptions struct {
 	Arity int
 	// Timeout bounds each request round-trip (default 10s).
 	Timeout time.Duration
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
 	// Trace, when non-zero, stamps every request of this client with the
 	// given trace ID (obs.ForceTrace issues one) and records a
 	// client.request span per round trip. When zero, each request
 	// consults the obs sampling gate (obs.SetTraceSampleRate) instead —
-	// off by default. Traced requests require a protocol-version-2
-	// server; against a version 1 server the trace stays client-side.
+	// off by default.
 	Trace obs.TraceID
 	// ExpectShard makes every hello (initial dial and reconnect) state
 	// which cluster shard the client expects: the server must be a
@@ -58,9 +60,6 @@ type ClientOptions struct {
 func (o ClientOptions) withDefaults() ClientOptions {
 	if o.Timeout <= 0 {
 		o.Timeout = 10 * time.Second
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
 	}
 	return o
 }
@@ -85,7 +84,6 @@ type Client struct {
 	bw     *bufio.Writer
 	gen    uint64 // connection generation, for targeted teardown
 	arity  int
-	ver    byte // negotiated protocol version of the live connection
 
 	pendMu  sync.Mutex
 	pending map[uint64]*call
@@ -102,7 +100,6 @@ type call struct {
 }
 
 type callResult struct {
-	kind    byte
 	payload []byte
 	err     error
 }
@@ -147,87 +144,76 @@ func (c *Client) connectLocked() error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return fmt.Errorf("serve: dial %s: %w", c.addr, err)
 	}
-	// Handshake synchronously, before the reader goroutine exists: no
-	// other frame can be in flight on this connection yet. The hello
-	// offers the client's maximum protocol version; the answer carries
-	// the negotiation result (absent from a version 1 server's answer,
-	// which predates the version byte — negotiated down to 1).
-	w := &wbuf{}
-	w.u16(uint16(c.opts.Arity))
-	w.u8(ProtocolVersion)
-	if c.opts.ExpectShard {
-		w.u32(c.opts.ShardID)
-	}
+	// Handshake synchronously, before the reader goroutine exists.
 	conn.SetDeadline(time.Now().Add(c.opts.Timeout))
-	if err := writeFrame(conn, ProtocolVersion, kindHello, 0, 0, w.b); err != nil {
-		conn.Close()
-		return fmt.Errorf("serve: hello: %w", err)
-	}
-	_, kind, _, _, payload, err := readFrame(conn)
+	arity, err := hello(conn, conn, c.opts.Arity, c.opts.ExpectShard, c.opts.ShardID)
 	if err != nil {
-		conn.Close()
-		return fmt.Errorf("serve: hello: %w", err)
-	}
-	r := &rbuf{b: payload}
-	if kind != kindHello {
-		// Refusals (arity mismatch, malformed hello) arrive as response
-		// frames carrying statusErr.
-		conn.Close()
-		if err := decodeStatus(r); err != nil {
-			return fmt.Errorf("serve: hello refused: %w", err)
-		}
-		return fmt.Errorf("%w: hello answered with frame kind %d", errProtocol, kind)
-	}
-	if status := r.u8(); status != statusOK {
-		conn.Close()
-		return fmt.Errorf("serve: hello refused with status %d", status)
-	}
-	arity := int(r.u16())
-	if arity == 0 {
-		conn.Close()
-		return fmt.Errorf("%w: hello advertises arity 0", errProtocol)
-	}
-	negotiated := byte(protocolV1)
-	if r.off < len(r.b) {
-		negotiated = r.u8()
-		if negotiated > ProtocolVersion || negotiated < protocolV1 {
-			conn.Close()
-			return fmt.Errorf("%w: negotiated version %d", errProtocol, negotiated)
-		}
-	}
-	if c.opts.ExpectShard {
-		// A server that verified the shard echoes its number; an answer
-		// without it comes from a server that ignored the extension and
-		// cannot be trusted to be the right shard.
-		if r.off >= len(r.b) {
-			conn.Close()
-			return fmt.Errorf("%w: hello answer carries no shard number", errProtocol)
-		}
-		if shard := r.u32(); shard != c.opts.ShardID {
-			conn.Close()
-			return fmt.Errorf("serve: shard mismatch: want shard %d, server is shard %d", c.opts.ShardID, shard)
-		}
-	}
-	if err := r.done(); err != nil {
 		conn.Close()
 		return err
 	}
-	if c.opts.Arity != 0 && arity != c.opts.Arity {
-		conn.Close()
-		return fmt.Errorf("serve: arity mismatch: want %d, server %d", c.opts.Arity, arity)
-	}
 	conn.SetDeadline(time.Time{})
 	c.arity = arity
-	c.ver = negotiated
 	c.conn = conn
 	c.bw = bufio.NewWriter(conn)
 	c.gen++
 	go c.readLoop(conn, c.gen)
 	return nil
+}
+
+// hello performs the client side of the handshake on a fresh connection,
+// synchronously — no other frame can be in flight yet. It states the
+// expected arity (0 adopts the server's) and, with expectShard, the
+// shard number the server must verify and echo; it returns the served
+// arity. Both the data-plane client and the replication subscriber
+// connect through it. The caller owns deadlines and closing.
+func hello(r io.Reader, w io.Writer, arity int, expectShard bool, shard uint32) (int, error) {
+	req := &wbuf{}
+	req.u16(uint16(arity))
+	if expectShard {
+		req.u32(shard)
+	}
+	if err := writeFrame(w, kindHello, 0, 0, req.b); err != nil {
+		return 0, fmt.Errorf("serve: hello: %w", err)
+	}
+	kind, _, _, payload, err := readFrame(r)
+	if err != nil {
+		return 0, fmt.Errorf("serve: hello: %w", err)
+	}
+	ans := &rbuf{b: payload}
+	if kind != kindHello {
+		// Refusals (arity or shard mismatch, malformed hello) arrive as
+		// response frames carrying statusErr.
+		if err := decodeStatus(ans); err != nil {
+			return 0, fmt.Errorf("serve: hello refused: %w", err)
+		}
+		return 0, fmt.Errorf("%w: hello answered with frame kind %d", errProtocol, kind)
+	}
+	if status := ans.u8(); status != statusOK {
+		return 0, fmt.Errorf("serve: hello refused with status %d", status)
+	}
+	served := int(ans.u16())
+	if expectShard {
+		// A server that verified the shard echoes its number; an answer
+		// without it (a latched decode error below) cannot be trusted to
+		// be the right shard.
+		if got := ans.u32(); ans.err == nil && got != shard {
+			return 0, fmt.Errorf("serve: shard mismatch: want shard %d, server is shard %d", shard, got)
+		}
+	}
+	if err := ans.done(); err != nil {
+		return 0, err
+	}
+	if served == 0 {
+		return 0, fmt.Errorf("%w: hello advertises arity 0", errProtocol)
+	}
+	if arity != 0 && served != arity {
+		return 0, fmt.Errorf("serve: arity mismatch: want %d, server %d", arity, served)
+	}
+	return served, nil
 }
 
 // ensureConnLocked returns the live connection, redialing if needed.
@@ -249,7 +235,7 @@ func (c *Client) ensureConnLocked() (uint64, error) {
 func (c *Client) readLoop(conn net.Conn, gen uint64) {
 	br := bufio.NewReader(conn)
 	for {
-		_, kind, id, _, payload, err := readFrame(br)
+		_, id, _, payload, err := readFrame(br)
 		if err != nil {
 			c.teardown(conn, gen, err)
 			return
@@ -263,7 +249,7 @@ func (c *Client) readLoop(conn net.Conn, gen uint64) {
 		}
 		c.pendMu.Unlock()
 		if ca != nil {
-			ca.ch <- callResult{kind: kind, payload: payload}
+			ca.ch <- callResult{payload: payload}
 		}
 	}
 }
@@ -349,12 +335,8 @@ func (c *Client) attempt(payload []byte, trace obs.TraceID) (resp []byte, connEr
 	c.pending[id] = ca
 	c.pendMu.Unlock()
 
-	ver := c.ver
-	if ver < ProtocolVersion {
-		trace = 0 // a version 1 server has no header field to carry it
-	}
 	c.conn.SetWriteDeadline(time.Now().Add(c.opts.Timeout))
-	werr := writeFrame(c.bw, ver, kindRequest, id, trace, payload)
+	werr := writeFrame(c.bw, kindRequest, id, trace, payload)
 	if werr == nil {
 		werr = c.bw.Flush()
 	}
@@ -397,12 +379,10 @@ func decodeStatus(r *rbuf) error {
 	case statusRetry:
 		return ErrRetry
 	case statusErr:
-		n := int(r.u16())
-		if r.err != nil || r.off+n > len(r.b) {
+		msg := r.take(int(r.u16()))
+		if r.err != nil {
 			return fmt.Errorf("%w: truncated error response", errProtocol)
 		}
-		msg := string(r.b[r.off : r.off+n])
-		r.off += n
 		return fmt.Errorf("serve: server error: %s", msg)
 	default:
 		return fmt.Errorf("%w: unknown response status %d", errProtocol, status)
@@ -417,98 +397,131 @@ func (c *Client) checkArity(t tuple.Tuple) error {
 	return nil
 }
 
+// Stamp is a server's replication position, answered by opStamp under
+// the same read admission as the rest of its frame: Applied is the
+// server's applied-epoch watermark, Head the highest leader epoch it
+// knows committed, Healthy whether its replication stream is live. On
+// a leader Applied == Head always (a leader is never stale against
+// itself), so Head-Applied is the follower's lag in epochs.
+type Stamp struct {
+	Applied, Head uint64
+	Healthy       bool
+}
+
+// decodeStamp consumes one opStamp result.
+func decodeStamp(r *rbuf) Stamp {
+	return Stamp{Applied: r.u64(), Head: r.u64(), Healthy: r.bool()}
+}
+
+// newRequest starts the payload of a single-operation request frame —
+// every request of the client, reads and inserts alike, is one; the
+// caller appends the operation and hands the payload to exchange. With
+// st non-nil, opStamp is prepended so the response carries the server's
+// replication position evaluated atomically with the read — the cluster
+// router's staleness check costs no extra round trip.
+func newRequest(st *Stamp) (w wbuf) {
+	if st != nil {
+		w.u16(2)
+		w.u8(opStamp)
+	} else {
+		w.u16(1)
+	}
+	return w
+}
+
+// exchange sends a newRequest payload and returns the response decoder
+// positioned at the operation's result, with *st (if requested) filled
+// in. A failed round trip or a RETRY/ERR status is latched in the
+// decoder like any decode error: the caller decodes its result
+// regardless (reads on a failed decoder yield zero values) and returns
+// r.done(), the one error check. Only idempotent requests (the reads)
+// are retried on a fresh connection. wbuf and rbuf travel by value, so
+// neither is heap-allocated per request.
+func (c *Client) exchange(w *wbuf, st *Stamp, idempotent bool) (r rbuf) {
+	if r.b, r.err = c.roundTrip(w.b, idempotent); r.err != nil {
+		return r
+	}
+	if r.err = decodeStatus(&r); r.err == nil && st != nil {
+		*st = decodeStamp(&r)
+	}
+	return r
+}
+
+// Stamp fetches the server's replication position alone — the health
+// and lag probe promotion and routing decisions poll.
+func (c *Client) Stamp() (Stamp, error) {
+	w := newRequest(nil)
+	w.u8(opStamp)
+	r := c.exchange(&w, nil, true)
+	return decodeStamp(&r), r.done()
+}
+
 // Contains reports whether t is in the served relation.
-func (c *Client) Contains(t tuple.Tuple) (bool, error) {
+func (c *Client) Contains(t tuple.Tuple) (bool, error) { return c.contains(t, nil) }
+
+// ContainsStamped is Contains plus the server's replication stamp,
+// evaluated in the same frame.
+func (c *Client) ContainsStamped(t tuple.Tuple) (bool, Stamp, error) {
+	var st Stamp
+	v, err := c.contains(t, &st)
+	return v, st, err
+}
+
+func (c *Client) contains(t tuple.Tuple, st *Stamp) (bool, error) {
 	if err := c.checkArity(t); err != nil {
 		return false, err
 	}
-	w := &wbuf{}
-	w.u16(1)
+	w := newRequest(st)
 	w.u8(opContains)
 	w.tuple(t)
-	payload, err := c.roundTrip(w.b, true)
-	if err != nil {
-		return false, err
-	}
-	r := &rbuf{b: payload}
-	if err := decodeStatus(r); err != nil {
-		return false, err
-	}
-	v := r.bool()
-	if err := r.done(); err != nil {
-		return false, err
-	}
-	return v, nil
-}
-
-// bound issues a lower/upper-bound query.
-func (c *Client) bound(code byte, v tuple.Tuple) (tuple.Tuple, bool, error) {
-	if err := c.checkArity(v); err != nil {
-		return nil, false, err
-	}
-	w := &wbuf{}
-	w.u16(1)
-	w.u8(code)
-	w.tuple(v)
-	payload, err := c.roundTrip(w.b, true)
-	if err != nil {
-		return nil, false, err
-	}
-	r := &rbuf{b: payload}
-	if err := decodeStatus(r); err != nil {
-		return nil, false, err
-	}
-	ok := r.bool()
-	var t tuple.Tuple
-	if ok {
-		t = r.tuple(c.arity)
-	}
-	if err := r.done(); err != nil {
-		return nil, false, err
-	}
-	return t, ok, nil
+	r := c.exchange(&w, st, true)
+	return r.bool(), r.done()
 }
 
 // LowerBound returns the smallest stored tuple >= v.
 func (c *Client) LowerBound(v tuple.Tuple) (tuple.Tuple, bool, error) {
-	return c.bound(opLower, v)
+	return c.Bound(v, false, nil)
 }
 
 // UpperBound returns the smallest stored tuple > v.
 func (c *Client) UpperBound(v tuple.Tuple) (tuple.Tuple, bool, error) {
-	return c.bound(opUpper, v)
+	return c.Bound(v, true, nil)
+}
+
+// Bound is LowerBound (strict false) or UpperBound (strict true); a
+// non-nil st additionally receives the server's replication stamp,
+// evaluated in the same frame.
+func (c *Client) Bound(v tuple.Tuple, strict bool, st *Stamp) (t tuple.Tuple, ok bool, err error) {
+	if err := c.checkArity(v); err != nil {
+		return nil, false, err
+	}
+	w := newRequest(st)
+	if strict {
+		w.u8(opUpper)
+	} else {
+		w.u8(opLower)
+	}
+	w.tuple(v)
+	r := c.exchange(&w, st, true)
+	if ok = r.bool(); ok {
+		t = r.tuple(c.arity)
+	}
+	return t, ok, r.done()
 }
 
 // Len returns the relation's element count.
 func (c *Client) Len() (int, error) {
-	w := &wbuf{}
-	w.u16(1)
+	w := newRequest(nil)
 	w.u8(opLen)
-	payload, err := c.roundTrip(w.b, true)
-	if err != nil {
-		return 0, err
-	}
-	r := &rbuf{b: payload}
-	if err := decodeStatus(r); err != nil {
-		return 0, err
-	}
-	n := r.u64()
-	if err := r.done(); err != nil {
-		return 0, err
-	}
-	return int(n), nil
+	r := c.exchange(&w, nil, true)
+	return int(r.u64()), r.done()
 }
 
 // Scan returns stored tuples t with lo <= t < hi in order (nil bounds
 // are open), at most limit of them (0 = the server's cap). truncated
 // reports that the server cut the result off; ScanAll paginates instead.
 func (c *Client) Scan(lo, hi tuple.Tuple, limit int) (ts []tuple.Tuple, truncated bool, err error) {
-	// Reject before encoding: the wire carries limit as u32, so a
-	// negative value would wrap into a huge positive cap.
-	if limit < 0 {
-		return nil, false, fmt.Errorf("serve: negative scan limit %d", limit)
-	}
-	return c.scan(lo, hi, false, limit)
+	return c.ScanPage(lo, hi, false, limit, nil)
 }
 
 // ScanPage fetches one page of a resumable range scan: tuples t with
@@ -516,38 +529,32 @@ func (c *Client) Scan(lo, hi tuple.Tuple, limit int) (ts []tuple.Tuple, truncate
 // when loStrict), at most limit of them (0 = the server's cap).
 // truncated reports more tuples remain; resume with lo = the last
 // returned tuple and loStrict = true — the resumption-token surface
-// the cluster router's fan-out merge paginates each shard with.
-func (c *Client) ScanPage(lo, hi tuple.Tuple, loStrict bool, limit int) (ts []tuple.Tuple, truncated bool, err error) {
+// the cluster router's fan-out merge paginates each shard with. A
+// non-nil st additionally receives the server's replication stamp.
+func (c *Client) ScanPage(lo, hi tuple.Tuple, loStrict bool, limit int, st *Stamp) (ts []tuple.Tuple, truncated bool, err error) {
+	// Reject before encoding: the wire carries limit as u32, so a
+	// negative value would wrap into a huge positive cap.
 	if limit < 0 {
 		return nil, false, fmt.Errorf("serve: negative scan limit %d", limit)
 	}
-	return c.scan(lo, hi, loStrict, limit)
-}
-
-func (c *Client) scan(lo, hi tuple.Tuple, loStrict bool, limit int) ([]tuple.Tuple, bool, error) {
+	var flags byte
 	if lo != nil {
 		if err := c.checkArity(lo); err != nil {
 			return nil, false, err
 		}
+		flags |= scanLoPresent
 	}
 	if hi != nil {
 		if err := c.checkArity(hi); err != nil {
 			return nil, false, err
 		}
-	}
-	w := &wbuf{}
-	w.u16(1)
-	w.u8(opScan)
-	var flags byte
-	if lo != nil {
-		flags |= scanLoPresent
-	}
-	if hi != nil {
 		flags |= scanHiPresent
 	}
 	if loStrict {
 		flags |= scanLoStrict
 	}
+	w := newRequest(st)
+	w.u8(opScan)
 	w.u8(flags)
 	if lo != nil {
 		w.tuple(lo)
@@ -556,31 +563,9 @@ func (c *Client) scan(lo, hi tuple.Tuple, loStrict bool, limit int) ([]tuple.Tup
 		w.tuple(hi)
 	}
 	w.u32(uint32(limit))
-	payload, err := c.roundTrip(w.b, true)
-	if err != nil {
-		return nil, false, err
-	}
-	r := &rbuf{b: payload}
-	if err := decodeStatus(r); err != nil {
-		return nil, false, err
-	}
-	n := int(r.u32())
-	// Compare against the remaining bytes by division: the product form
-	// (r.off + 8*arity*n > len) overflows int on 32-bit platforms for a
-	// hostile count, wrapping negative and slipping past the check.
-	rem := len(r.b) - r.off
-	if n < 0 || c.arity <= 0 || n > rem/(8*c.arity) {
-		return nil, false, fmt.Errorf("%w: scan result overruns payload", errProtocol)
-	}
-	out := make([]tuple.Tuple, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.tuple(c.arity))
-	}
-	truncated := r.bool()
-	if err := r.done(); err != nil {
-		return nil, false, err
-	}
-	return out, truncated, nil
+	r := c.exchange(&w, st, true)
+	ts, truncated = r.tuples(c.arity), r.bool()
+	return ts, truncated, r.done()
 }
 
 // ScanAll streams the whole range [lo, hi) through yield in order,
@@ -589,7 +574,7 @@ func (c *Client) scan(lo, hi tuple.Tuple, loStrict bool, limit int) ([]tuple.Tup
 func (c *Client) ScanAll(lo, hi tuple.Tuple, yield func(tuple.Tuple) bool) error {
 	cur, strict := lo, false
 	for {
-		page, truncated, err := c.scan(cur, hi, strict, 0)
+		page, truncated, err := c.ScanPage(cur, hi, strict, 0, nil)
 		if err != nil {
 			return err
 		}
@@ -611,178 +596,6 @@ func (c *Client) ScanAll(lo, hi tuple.Tuple, yield func(tuple.Tuple) bool) error
 	}
 }
 
-// Stamp is a server's replication position, answered by opStamp under
-// the same read admission as the rest of its frame: Applied is the
-// server's applied-epoch watermark, Head the highest leader epoch it
-// knows committed, Healthy whether its replication stream is live. On
-// a leader Applied == Head always (a leader is never stale against
-// itself), so Head-Applied is the follower's lag in epochs.
-type Stamp struct {
-	Applied, Head uint64
-	Healthy       bool
-}
-
-// decodeStamp consumes one opStamp result.
-func decodeStamp(r *rbuf) Stamp {
-	return Stamp{Applied: r.u64(), Head: r.u64(), Healthy: r.bool()}
-}
-
-// stamped prepends opStamp to a single-op read frame so the response
-// carries the server's replication position evaluated atomically with
-// the read — the cluster router's staleness check costs no extra round
-// trip.
-func stampedFrame(encode func(w *wbuf)) []byte {
-	w := &wbuf{}
-	w.u16(2)
-	w.u8(opStamp)
-	encode(w)
-	return w.b
-}
-
-// Stamp fetches the server's replication position alone — the health
-// and lag probe promotion and routing decisions poll.
-func (c *Client) Stamp() (Stamp, error) {
-	w := &wbuf{}
-	w.u16(1)
-	w.u8(opStamp)
-	payload, err := c.roundTrip(w.b, true)
-	if err != nil {
-		return Stamp{}, err
-	}
-	r := &rbuf{b: payload}
-	if err := decodeStatus(r); err != nil {
-		return Stamp{}, err
-	}
-	st := decodeStamp(r)
-	if err := r.done(); err != nil {
-		return Stamp{}, err
-	}
-	return st, nil
-}
-
-// ContainsStamped is Contains plus the server's replication stamp,
-// evaluated in the same frame (requires a protocol-version-3 server).
-func (c *Client) ContainsStamped(t tuple.Tuple) (bool, Stamp, error) {
-	if err := c.checkArity(t); err != nil {
-		return false, Stamp{}, err
-	}
-	payload, err := c.roundTrip(stampedFrame(func(w *wbuf) {
-		w.u8(opContains)
-		w.tuple(t)
-	}), true)
-	if err != nil {
-		return false, Stamp{}, err
-	}
-	r := &rbuf{b: payload}
-	if err := decodeStatus(r); err != nil {
-		return false, Stamp{}, err
-	}
-	st := decodeStamp(r)
-	v := r.bool()
-	if err := r.done(); err != nil {
-		return false, Stamp{}, err
-	}
-	return v, st, nil
-}
-
-// boundStamped is bound plus the server's replication stamp.
-func (c *Client) boundStamped(code byte, v tuple.Tuple) (tuple.Tuple, bool, Stamp, error) {
-	if err := c.checkArity(v); err != nil {
-		return nil, false, Stamp{}, err
-	}
-	payload, err := c.roundTrip(stampedFrame(func(w *wbuf) {
-		w.u8(code)
-		w.tuple(v)
-	}), true)
-	if err != nil {
-		return nil, false, Stamp{}, err
-	}
-	r := &rbuf{b: payload}
-	if err := decodeStatus(r); err != nil {
-		return nil, false, Stamp{}, err
-	}
-	st := decodeStamp(r)
-	ok := r.bool()
-	var t tuple.Tuple
-	if ok {
-		t = r.tuple(c.arity)
-	}
-	if err := r.done(); err != nil {
-		return nil, false, Stamp{}, err
-	}
-	return t, ok, st, nil
-}
-
-// LowerBoundStamped is LowerBound plus the server's replication stamp.
-func (c *Client) LowerBoundStamped(v tuple.Tuple) (tuple.Tuple, bool, Stamp, error) {
-	return c.boundStamped(opLower, v)
-}
-
-// UpperBoundStamped is UpperBound plus the server's replication stamp.
-func (c *Client) UpperBoundStamped(v tuple.Tuple) (tuple.Tuple, bool, Stamp, error) {
-	return c.boundStamped(opUpper, v)
-}
-
-// ScanPageStamped is ScanPage plus the server's replication stamp.
-func (c *Client) ScanPageStamped(lo, hi tuple.Tuple, loStrict bool, limit int) (ts []tuple.Tuple, truncated bool, st Stamp, err error) {
-	if limit < 0 {
-		return nil, false, Stamp{}, fmt.Errorf("serve: negative scan limit %d", limit)
-	}
-	if lo != nil {
-		if err := c.checkArity(lo); err != nil {
-			return nil, false, Stamp{}, err
-		}
-	}
-	if hi != nil {
-		if err := c.checkArity(hi); err != nil {
-			return nil, false, Stamp{}, err
-		}
-	}
-	payload, err := c.roundTrip(stampedFrame(func(w *wbuf) {
-		w.u8(opScan)
-		var flags byte
-		if lo != nil {
-			flags |= scanLoPresent
-		}
-		if hi != nil {
-			flags |= scanHiPresent
-		}
-		if loStrict {
-			flags |= scanLoStrict
-		}
-		w.u8(flags)
-		if lo != nil {
-			w.tuple(lo)
-		}
-		if hi != nil {
-			w.tuple(hi)
-		}
-		w.u32(uint32(limit))
-	}), true)
-	if err != nil {
-		return nil, false, Stamp{}, err
-	}
-	r := &rbuf{b: payload}
-	if err := decodeStatus(r); err != nil {
-		return nil, false, Stamp{}, err
-	}
-	st = decodeStamp(r)
-	n := int(r.u32())
-	rem := len(r.b) - r.off
-	if n < 0 || c.arity <= 0 || n > rem/(8*c.arity) {
-		return nil, false, Stamp{}, fmt.Errorf("%w: scan result overruns payload", errProtocol)
-	}
-	out := make([]tuple.Tuple, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.tuple(c.arity))
-	}
-	truncated = r.bool()
-	if err := r.done(); err != nil {
-		return nil, false, Stamp{}, err
-	}
-	return out, truncated, st, nil
-}
-
 // Insert adds the batch to the relation, returning how many tuples were
 // new. On ErrRetry the server's write queue was full and nothing was
 // applied: back off and resubmit. Inserts are never retried internally —
@@ -791,27 +604,14 @@ func (c *Client) ScanPageStamped(lo, hi tuple.Tuple, loStrict bool, limit int) (
 // connection may safely resubmit; the fresh count of a resubmitted batch
 // counts only genuinely new tuples).
 func (c *Client) Insert(batch []tuple.Tuple) (fresh int, err error) {
-	w := &wbuf{}
-	w.u16(1)
-	w.u8(opInsert)
-	w.u32(uint32(len(batch)))
 	for _, t := range batch {
 		if err := c.checkArity(t); err != nil {
 			return 0, err
 		}
-		w.tuple(t)
 	}
-	payload, err := c.roundTrip(w.b, false)
-	if err != nil {
-		return 0, err
-	}
-	r := &rbuf{b: payload}
-	if err := decodeStatus(r); err != nil {
-		return 0, err
-	}
-	n := r.u32()
-	if err := r.done(); err != nil {
-		return 0, err
-	}
-	return int(n), nil
+	w := newRequest(nil)
+	w.u8(opInsert)
+	w.tuples(batch)
+	r := c.exchange(&w, nil, false)
+	return int(r.u32()), r.done()
 }

@@ -44,16 +44,14 @@ func (f *fakeServer) addr() string { return f.lis.Addr().String() }
 // fakeHello answers the handshake with arity 2.
 func fakeHello(t *testing.T, nc net.Conn) bool {
 	t.Helper()
-	_, kind, id, _, _, err := readFrame(nc)
+	kind, id, _, _, err := readFrame(nc)
 	if err != nil || kind != kindHello {
 		return false
 	}
-	// Answer as a version 1 server (no version byte): the client must
-	// negotiate down and keep working.
 	w := &wbuf{}
 	w.u8(statusOK)
 	w.u16(2)
-	return writeFrame(nc, protocolV1, kindHello, id, 0, w.b) == nil
+	return writeFrame(nc, kindHello, id, 0, w.b) == nil
 }
 
 // TestClientRetriesIdempotentReadOnce scripts a reset: the first
@@ -65,7 +63,7 @@ func TestClientRetriesIdempotentReadOnce(t *testing.T) {
 		if !fakeHello(t, nc) {
 			return
 		}
-		_, _, id, _, _, err := readFrame(nc)
+		_, id, _, _, err := readFrame(nc)
 		if err != nil {
 			return
 		}
@@ -75,7 +73,7 @@ func TestClientRetriesIdempotentReadOnce(t *testing.T) {
 		w := &wbuf{}
 		w.u8(statusOK)
 		w.bool(true)
-		writeFrame(nc, protocolV1, kindResponse, id, 0, w.b)
+		writeFrame(nc, kindResponse, id, 0, w.b)
 		readFrame(nc) // hold the conn open until the client closes
 	})
 	c, err := Dial(fake.addr(), ClientOptions{Timeout: 2 * time.Second})
@@ -125,7 +123,7 @@ func TestClientNeverRetriesInsert(t *testing.T) {
 		if !fakeHello(t, nc) {
 			return
 		}
-		if _, _, _, _, _, err := readFrame(nc); err == nil {
+		if _, _, _, _, err := readFrame(nc); err == nil {
 			requests <- struct{}{}
 		}
 	})
@@ -154,7 +152,7 @@ func TestClientTimeout(t *testing.T) {
 		if !fakeHello(t, nc) {
 			return
 		}
-		_, _, id, _, _, err := readFrame(nc)
+		_, id, _, _, err := readFrame(nc)
 		if err != nil {
 			return
 		}
@@ -162,7 +160,7 @@ func TestClientTimeout(t *testing.T) {
 		w := &wbuf{}
 		w.u8(statusOK)
 		w.bool(true)
-		writeFrame(nc, protocolV1, kindResponse, id, 0, w.b)
+		writeFrame(nc, kindResponse, id, 0, w.b)
 		readFrame(nc)
 	})
 	c, err := Dial(fake.addr(), ClientOptions{Timeout: 80 * time.Millisecond})
@@ -233,13 +231,13 @@ func scanResponder(t *testing.T, body func(w *wbuf)) *fakeServer {
 			return
 		}
 		for {
-			_, _, id, _, _, err := readFrame(nc)
+			_, id, _, _, err := readFrame(nc)
 			if err != nil {
 				return
 			}
 			w := &wbuf{}
 			body(w)
-			if writeFrame(nc, protocolV1, kindResponse, id, 0, w.b) != nil {
+			if writeFrame(nc, kindResponse, id, 0, w.b) != nil {
 				return
 			}
 		}
@@ -300,7 +298,7 @@ func TestClientScanNegativeLimit(t *testing.T) {
 		if !fakeHello(t, nc) {
 			return
 		}
-		if _, _, _, _, _, err := readFrame(nc); err == nil {
+		if _, _, _, _, err := readFrame(nc); err == nil {
 			requests <- struct{}{}
 		}
 	})
@@ -323,14 +321,14 @@ func TestClientScanNegativeLimit(t *testing.T) {
 func TestClientRejectsZeroArityHello(t *testing.T) {
 	fake := startFake(t, func(i int, nc net.Conn) {
 		defer nc.Close()
-		_, kind, id, _, _, err := readFrame(nc)
+		kind, id, _, _, err := readFrame(nc)
 		if err != nil || kind != kindHello {
 			return
 		}
 		w := &wbuf{}
 		w.u8(statusOK)
 		w.u16(0)
-		writeFrame(nc, protocolV1, kindHello, id, 0, w.b)
+		writeFrame(nc, kindHello, id, 0, w.b)
 		readFrame(nc)
 	})
 	if _, err := Dial(fake.addr(), ClientOptions{Timeout: 2 * time.Second}); !errors.Is(err, errProtocol) {

@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the replication stream (DESIGN.md §16): the server side
-// of a subscription — a follower sends one kindReplSubscribe frame and
+// of a subscription — a follower sends one kindSubscribe frame and
 // the leader pushes an optional bootstrap snapshot followed by its
 // committed epochs and idle heartbeats — and the follower-side stream
 // client (DialReplica / ReplicaConn). The unit of shipment is the
@@ -22,32 +22,13 @@ import (
 // staleness a meaningful promise and promotion a log-replay rather
 // than a reconciliation.
 
-// ReplFence is one rebalance cut carried by the stream: the leader
-// stopped owning leading-column values in [Lo, Hi] (inclusive), which
-// moved to shard Dst. A follower applies it like crash-recovery replay
-// does — drop the range — keeping its replica inside the leader's
-// ownership without a restart.
-type ReplFence struct {
-	Lo, Hi uint64
-	Dst    uint32
-}
-
-// ReplEpoch is one committed write epoch as shipped to followers: its
-// sequence number in the leader's log, the insert batches applied in
-// order, and any fences cut at its boundary.
-type ReplEpoch struct {
-	Seq     uint64
-	Batches [][]tuple.Tuple
-	Fences  []ReplFence
-}
-
 // EpochTailer is a cursor over a source's committed epochs, in
 // sequence order. Next reports ok=false when no further epoch is
 // committed yet; Wait blocks until the source signals progress, stop
 // closes, or max elapses — the streamer's idle loop. Implemented by
 // the shard log's tailing reader (cluster.LogTailer).
 type EpochTailer interface {
-	Next() (ReplEpoch, bool, error)
+	Next() (*Epoch, bool, error)
 	Wait(stop <-chan struct{}, max time.Duration)
 	Close() error
 }
@@ -62,23 +43,18 @@ type ReplicaSource interface {
 	TailEpochs(after uint64) (EpochTailer, error)
 }
 
-// replSubSnapshot is the subscribe-flags bit requesting a bootstrap
-// snapshot before the epoch stream.
-const replSubSnapshot = 1 << 0
-
 // replSnapPageTuples bounds one bootstrap snapshot page.
 const replSnapPageTuples = 4096
 
-// handleSubscribe validates a kindReplSubscribe frame, acknowledges it
+// handleSubscribe validates a kindSubscribe frame, acknowledges it
 // (statusOK + the committed head), and hands the connection's outbound
 // side to a streamer goroutine. The reader keeps running so a follower
 // disconnect is noticed; a returned error tears the connection down.
-func (c *serverConn) handleSubscribe(ver byte, id uint64, trace obs.TraceID, payload []byte) error {
+func (c *serverConn) handleSubscribe(id uint64, trace obs.TraceID, payload []byte) error {
 	if c.s.opts.Replica == nil {
 		return fmt.Errorf("serve: replication not enabled on this server")
 	}
 	r := &rbuf{b: payload}
-	flags := r.u8()
 	after := r.u64()
 	if err := r.done(); err != nil {
 		return err
@@ -86,14 +62,15 @@ func (c *serverConn) handleSubscribe(ver byte, id uint64, trace obs.TraceID, pay
 	w := &wbuf{}
 	w.u8(statusOK)
 	w.u64(c.s.opts.Replica.CommittedSeq())
-	c.send(outFrame{kind: kindResponse, version: ver, id: id, trace: trace, payload: w.b})
+	c.send(outFrame{kind: kindResponse, id: id, trace: trace, payload: w.b})
 	c.s.wg.Add(1)
-	go c.streamReplica(ver, id, flags&replSubSnapshot != 0, after)
+	go c.streamReplica(id, after)
 	return nil
 }
 
-// streamReplica is the per-subscription push loop. With wantSnap set it
-// first pages out a bootstrap snapshot; the ordering is load-bearing:
+// streamReplica is the per-subscription push loop. A subscriber that
+// has applied nothing (after == 0) is first paged a bootstrap snapshot;
+// the ordering is load-bearing:
 // the base epoch is read BEFORE the snapshot is captured, so the
 // snapshot contains every epoch <= base and the stream starts at
 // base+1 — a tuple landing between the two reads is simply replayed
@@ -104,18 +81,18 @@ func (c *serverConn) handleSubscribe(ver byte, id uint64, trace obs.TraceID, pay
 // MaxPayload (WriteQueue batches of MaxBatch tuples stay well under
 // it); a deployment raising both past ~16M tuple-words per epoch would
 // have to split epochs first.
-func (c *serverConn) streamReplica(ver byte, id uint64, wantSnap bool, after uint64) {
+func (c *serverConn) streamReplica(id uint64, after uint64) {
 	defer c.s.wg.Done()
 	src := c.s.opts.Replica
 	start := after
-	if wantSnap {
+	if after == 0 {
 		base := src.CommittedSeq() // before the capture: snapshot ⊇ epochs <= base
 		snap, err := c.s.SnapshotNow()
 		if err != nil {
 			c.close()
 			return
 		}
-		if !c.sendSnapshot(ver, id, base, &snap) {
+		if !c.sendSnapshot(id, base, &snap) {
 			return
 		}
 		start = base
@@ -142,29 +119,17 @@ func (c *serverConn) streamReplica(ver byte, id uint64, wantSnap bool, after uin
 		if !ok {
 			w := &wbuf{}
 			w.u64(src.CommittedSeq())
-			if !c.sendBlocking(outFrame{kind: kindReplHeartbeat, version: ver, id: id, payload: w.b}) {
+			if !c.sendBlocking(outFrame{kind: kindHeartbeat, id: id, payload: w.b}) {
 				return
 			}
 			tailer.Wait(c.closed, c.s.opts.HeartbeatEvery)
 			continue
 		}
+		// head, then the epoch exactly as the log frames it.
 		w := &wbuf{}
-		w.u64(ep.Seq)
 		w.u64(src.CommittedSeq())
-		w.u32(uint32(len(ep.Batches)))
-		for _, b := range ep.Batches {
-			w.u32(uint32(len(b)))
-			for _, t := range b {
-				w.tuple(t)
-			}
-		}
-		w.u32(uint32(len(ep.Fences)))
-		for _, f := range ep.Fences {
-			w.u64(f.Lo)
-			w.u64(f.Hi)
-			w.u32(f.Dst)
-		}
-		if !c.sendBlocking(outFrame{kind: kindReplEpoch, version: ver, id: id, payload: w.b}) {
+		w.b, _ = AppendEpoch(w.b, ep)
+		if !c.sendBlocking(outFrame{kind: kindEpoch, id: id, payload: w.b}) {
 			return
 		}
 		obs.Inc(obs.ReplicaStreamEpochs)
@@ -175,16 +140,13 @@ func (c *serverConn) streamReplica(ver byte, id uint64, wantSnap bool, after uin
 // carries the base epoch and the final one is flagged last (an empty
 // relation ships one empty last page). Reports false when the
 // connection closed mid-transfer.
-func (c *serverConn) sendSnapshot(ver byte, id uint64, base uint64, snap *core.Snapshot) bool {
+func (c *serverConn) sendSnapshot(id uint64, base uint64, snap *core.Snapshot) bool {
 	send := func(page []tuple.Tuple, last bool) bool {
 		w := &wbuf{}
 		w.u64(base)
 		w.bool(last)
-		w.u32(uint32(len(page)))
-		for _, t := range page {
-			w.tuple(t)
-		}
-		return c.sendBlocking(outFrame{kind: kindReplSnapPage, version: ver, id: id, payload: w.b})
+		w.tuples(page)
+		return c.sendBlocking(outFrame{kind: kindSnapPage, id: id, payload: w.b})
 	}
 	page := make([]tuple.Tuple, 0, replSnapPageTuples)
 	for cur := snap.Cursor(); cur.Valid(); cur.Next() {
@@ -210,17 +172,11 @@ type ReplicaDialOptions struct {
 	// identity — same guard as the data-plane client's ExpectShard.
 	Shard   uint32
 	Sharded bool
-	// Snapshot requests a bootstrap snapshot before the epoch stream
-	// (fresh follower). Without it the stream resumes after After
-	// (restarting follower replaying its own log first).
-	Snapshot bool
-	// After is the resume position: the stream starts at epoch After+1.
-	// Ignored when Snapshot is set (the leader streams from its
-	// snapshot's base instead).
+	// After is the resume position: the stream starts at epoch After+1
+	// (a restarting follower replays its own log first). Zero — nothing
+	// applied yet — makes the leader page out a bootstrap snapshot and
+	// stream from the snapshot's base instead.
 	After uint64
-	// DialTimeout bounds connection establishment and the handshake
-	// (default 5s).
-	DialTimeout time.Duration
 }
 
 // ReplicaMsgType discriminates ReplicaMsg.
@@ -246,7 +202,7 @@ type ReplicaMsg struct {
 	// Tuples is one snapshot page's contents.
 	Tuples []tuple.Tuple
 	// Epoch is one committed leader epoch, to apply atomically.
-	Epoch ReplEpoch
+	Epoch *Epoch
 	// Head is the leader's committed head when the frame was built —
 	// the staleness yardstick (applied vs Head).
 	Head uint64
@@ -265,105 +221,48 @@ type ReplicaConn struct {
 }
 
 // DialReplica connects to a leader and opens a replication
-// subscription. The hello is the standard one (arity, protocol
-// version, optional shard verification), but the negotiated version
-// must be 3 — older servers have no replication frames to push.
+// subscription: the data-plane client's hello (arity, optional shard
+// verification), then the subscribe exchange, both synchronously under
+// the dial deadline.
 func DialReplica(addr string, o ReplicaDialOptions) (*ReplicaConn, error) {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	nc, err := net.DialTimeout("tcp", addr, o.DialTimeout)
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("serve: dial replica source %s: %w", addr, err)
 	}
-	rc := &ReplicaConn{nc: nc, br: bufio.NewReader(nc), arity: o.Arity}
-	if err := rc.handshake(o); err != nil {
+	rc := &ReplicaConn{nc: nc, br: bufio.NewReader(nc)}
+	nc.SetDeadline(time.Now().Add(dialTimeout))
+	if err := rc.subscribe(o); err != nil {
 		nc.Close()
 		return nil, err
 	}
+	nc.SetDeadline(time.Time{})
 	return rc, nil
 }
 
-// handshake performs hello + subscribe synchronously under the dial
-// deadline.
-func (rc *ReplicaConn) handshake(o ReplicaDialOptions) error {
-	rc.nc.SetDeadline(time.Now().Add(o.DialTimeout))
-	defer rc.nc.SetDeadline(time.Time{})
-
-	w := &wbuf{}
-	w.u16(uint16(o.Arity))
-	w.u8(ProtocolVersion)
-	if o.Sharded {
-		w.u32(o.Shard)
-	}
-	if err := writeFrame(rc.nc, ProtocolVersion, kindHello, 0, 0, w.b); err != nil {
-		return fmt.Errorf("serve: replica hello: %w", err)
-	}
-	_, kind, _, _, payload, err := readFrame(rc.br)
-	if err != nil {
-		return fmt.Errorf("serve: replica hello: %w", err)
-	}
-	r := &rbuf{b: payload}
-	if kind != kindHello {
-		if err := decodeStatus(r); err != nil {
-			return fmt.Errorf("serve: replica hello refused: %w", err)
-		}
-		return fmt.Errorf("%w: hello answered with frame kind %d", errProtocol, kind)
-	}
-	if status := r.u8(); status != statusOK {
-		return fmt.Errorf("serve: replica hello refused with status %d", status)
-	}
-	arity := int(r.u16())
-	negotiated := byte(protocolV1)
-	if r.off < len(r.b) {
-		negotiated = r.u8()
-	}
-	if o.Sharded {
-		if r.off >= len(r.b) {
-			return fmt.Errorf("%w: hello answer carries no shard number", errProtocol)
-		}
-		if shard := r.u32(); shard != o.Shard {
-			return fmt.Errorf("serve: shard mismatch: want shard %d, server is shard %d", o.Shard, shard)
-		}
-	}
-	if err := r.done(); err != nil {
+// subscribe performs the hello and subscribe exchanges.
+func (rc *ReplicaConn) subscribe(o ReplicaDialOptions) (err error) {
+	if rc.arity, err = hello(rc.br, rc.nc, o.Arity, o.Sharded, o.Shard); err != nil {
 		return err
 	}
-	if negotiated < ProtocolVersion {
-		return fmt.Errorf("serve: source speaks protocol %d; replication needs %d", negotiated, ProtocolVersion)
-	}
-	if o.Arity != 0 && arity != o.Arity {
-		return fmt.Errorf("serve: arity mismatch: want %d, server %d", o.Arity, arity)
-	}
-	rc.arity = arity
-
 	sub := &wbuf{}
-	var flags byte
-	if o.Snapshot {
-		flags |= replSubSnapshot
-	}
-	sub.u8(flags)
 	sub.u64(o.After)
-	if err := writeFrame(rc.nc, ProtocolVersion, kindReplSubscribe, 1, 0, sub.b); err != nil {
+	if err := writeFrame(rc.nc, kindSubscribe, 1, 0, sub.b); err != nil {
 		return fmt.Errorf("serve: subscribe: %w", err)
 	}
-	_, kind, _, _, payload, err = readFrame(rc.br)
+	kind, _, _, payload, err := readFrame(rc.br)
 	if err != nil {
 		return fmt.Errorf("serve: subscribe: %w", err)
 	}
 	if kind != kindResponse {
 		return fmt.Errorf("%w: subscribe answered with frame kind %d", errProtocol, kind)
 	}
-	r = &rbuf{b: payload}
+	r := &rbuf{b: payload}
 	if err := decodeStatus(r); err != nil {
 		return fmt.Errorf("serve: subscribe refused: %w", err)
 	}
 	rc.Head = r.u64()
 	return r.done()
 }
-
-// Arity returns the negotiated tuple width.
-func (rc *ReplicaConn) Arity() int { return rc.arity }
 
 // Recv blocks for the next stream message, at most timeout (0 blocks
 // indefinitely). A deadline expiry surfaces as a net.Error with
@@ -376,52 +275,33 @@ func (rc *ReplicaConn) Recv(timeout time.Duration) (ReplicaMsg, error) {
 	} else {
 		rc.nc.SetReadDeadline(time.Time{})
 	}
-	_, kind, _, _, payload, err := readFrame(rc.br)
+	kind, _, _, payload, err := readFrame(rc.br)
 	if err != nil {
 		return ReplicaMsg{}, err
 	}
 	r := &rbuf{b: payload}
 	var m ReplicaMsg
 	switch kind {
-	case kindReplSnapPage:
+	case kindSnapPage:
 		m.Type = ReplicaSnapPage
 		m.Base = r.u64()
 		m.Last = r.bool()
-		n := int(r.u32())
-		rem := len(r.b) - r.off
-		if n < 0 || rc.arity <= 0 || n > rem/(8*rc.arity) {
-			return ReplicaMsg{}, fmt.Errorf("%w: snapshot page overruns payload", errProtocol)
-		}
-		m.Tuples = make([]tuple.Tuple, 0, n)
-		for i := 0; i < n; i++ {
-			m.Tuples = append(m.Tuples, r.tuple(rc.arity))
-		}
-	case kindReplEpoch:
+		m.Tuples = r.tuples(rc.arity)
+	case kindEpoch:
 		m.Type = ReplicaEpochMsg
-		m.Epoch.Seq = r.u64()
 		m.Head = r.u64()
-		nb := int(r.u32())
-		for i := 0; i < nb && r.err == nil; i++ {
-			cnt := int(r.u32())
-			rem := len(r.b) - r.off
-			if cnt < 0 || rc.arity <= 0 || cnt > rem/(8*rc.arity) {
-				return ReplicaMsg{}, fmt.Errorf("%w: epoch batch overruns payload", errProtocol)
+		if r.err == nil {
+			// The rest of the payload is one epoch in the log's own
+			// framing; anything but exactly one complete epoch is a
+			// protocol error (a frame is never torn).
+			ep, n, err := DecodeEpoch(r.b[r.off:], 0, 0, rc.arity)
+			if err != nil || ep == nil {
+				return ReplicaMsg{}, fmt.Errorf("%w: malformed epoch frame: %v", errProtocol, err)
 			}
-			batch := make([]tuple.Tuple, 0, cnt)
-			for j := 0; j < cnt; j++ {
-				batch = append(batch, r.tuple(rc.arity))
-			}
-			m.Epoch.Batches = append(m.Epoch.Batches, batch)
+			m.Epoch = ep
+			r.off += n
 		}
-		nf := int(r.u32())
-		rem := len(r.b) - r.off
-		if nf < 0 || nf > rem/20 {
-			return ReplicaMsg{}, fmt.Errorf("%w: epoch fences overrun payload", errProtocol)
-		}
-		for i := 0; i < nf; i++ {
-			m.Epoch.Fences = append(m.Epoch.Fences, ReplFence{Lo: r.u64(), Hi: r.u64(), Dst: r.u32()})
-		}
-	case kindReplHeartbeat:
+	case kindHeartbeat:
 		m.Type = ReplicaHeartbeat
 		m.Head = r.u64()
 	default:

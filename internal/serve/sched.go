@@ -97,8 +97,7 @@ type scheduler struct {
 	// tree is the served tree. It is a pointer cell because a follower
 	// retiring a fenced range exchanges the whole tree at an epoch
 	// boundary (writeBatch.swap); readers load it once per operation.
-	tree  atomic.Pointer[core.Tree]
-	arity int
+	tree atomic.Pointer[core.Tree]
 	// treeGen counts tree exchanges. Connections compare it against the
 	// generation their hint set was built for and discard stale hints —
 	// a cached leaf of a replaced tree can still pass lease+coverage
@@ -172,7 +171,6 @@ type scheduler struct {
 // snapshot (of the possibly pre-loaded tree) is taken right here.
 func newScheduler(tree *core.Tree, queueCap int, snapshots bool, log EpochLog) *scheduler {
 	s := &scheduler{
-		arity:     tree.Arity(),
 		snapshots: snapshots,
 		log:       log,
 		queue:     make(chan *writeBatch, queueCap),

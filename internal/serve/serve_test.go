@@ -250,7 +250,7 @@ func TestServerDropsSlowClient(t *testing.T) {
 	defer nc.Close()
 	hello := &wbuf{}
 	hello.u16(0)
-	if err := writeFrame(nc, protocolV1, kindHello, 0, 0, hello.b); err != nil {
+	if err := writeFrame(nc, kindHello, 0, 0, hello.b); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
 	scan := &wbuf{}
@@ -259,7 +259,7 @@ func TestServerDropsSlowClient(t *testing.T) {
 	scan.u8(0)
 	scan.u32(0)
 	for i := 0; i < 5000; i++ {
-		if err := writeFrame(nc, protocolV1, kindRequest, uint64(i+1), 0, scan.b); err != nil {
+		if err := writeFrame(nc, kindRequest, uint64(i+1), 0, scan.b); err != nil {
 			break // server closed the connection
 		}
 	}
@@ -343,19 +343,19 @@ func TestServerRejectsMalformedFrame(t *testing.T) {
 	defer nc.Close()
 	hello := &wbuf{}
 	hello.u16(0)
-	if err := writeFrame(nc, protocolV1, kindHello, 0, 0, hello.b); err != nil {
+	if err := writeFrame(nc, kindHello, 0, 0, hello.b); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
-	if _, _, _, _, _, err := readFrame(nc); err != nil {
+	if _, _, _, _, err := readFrame(nc); err != nil {
 		t.Fatalf("hello response: %v", err)
 	}
 	bad := &wbuf{}
 	bad.u16(1)
 	bad.u8(250) // unknown opcode
-	if err := writeFrame(nc, protocolV1, kindRequest, 1, 0, bad.b); err != nil {
+	if err := writeFrame(nc, kindRequest, 1, 0, bad.b); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	_, kind, _, _, payload, err := readFrame(nc)
+	kind, _, _, payload, err := readFrame(nc)
 	if err != nil {
 		t.Fatalf("read error response: %v", err)
 	}
@@ -365,7 +365,7 @@ func TestServerRejectsMalformedFrame(t *testing.T) {
 	}
 	// The server closes the connection after a protocol error.
 	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, _, _, _, _, err := readFrame(nc); err == nil {
+	if _, _, _, _, err := readFrame(nc); err == nil {
 		t.Fatal("connection still open after protocol error")
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -67,23 +68,22 @@ type Options struct {
 	// ShardID is this server's shard number; meaningful only with
 	// Sharded set (shard 0 is a valid shard).
 	ShardID uint32
-	// Follower makes the server read-only: insert frames are refused
-	// with a server error directing the client to the leader, until
-	// PromoteToLeader flips the server into a writable leader. The
-	// in-process Apply path stays open — it is how the replication
-	// apply loop feeds the tree (internal/replica).
-	Follower bool
 	// Replica, when non-nil, enables replication subscriptions
-	// (DESIGN.md §16): a version 3 client may send kindReplSubscribe
-	// and the server streams the source's committed epochs to it. Set
-	// on leaders to the shard's insert log.
+	// (DESIGN.md §16): a client may send kindSubscribe and the
+	// server streams the source's committed epochs to it. Set on
+	// leaders to the shard's insert log.
 	Replica ReplicaSource
-	// Stamp, when non-nil, supplies the replication stamp answered to
-	// opStamp reads: the server's applied epoch watermark, the highest
-	// leader epoch it knows committed, and whether its replication
-	// stream is healthy. Followers set it; when nil, opStamp reports
-	// the server's own epoch count for both positions and healthy=true
-	// (a leader is never stale against itself).
+	// Stamp, when non-nil, makes the server a read-only follower and
+	// supplies the replication stamp answered to opStamp reads: its
+	// applied epoch watermark, the highest leader epoch it knows
+	// committed, and whether its replication stream is healthy. Insert
+	// frames are refused with a server error directing the client to
+	// the leader, until PromoteToLeader flips the server into a
+	// writable leader; the in-process Apply path stays open — it is how
+	// the replication apply loop feeds the tree (internal/replica).
+	// When nil, opStamp reports the server's own epoch count for both
+	// positions and healthy=true (a leader is never stale against
+	// itself).
 	Stamp func() (applied, head uint64, healthy bool)
 	// HeartbeatEvery bounds the idle gap between replication frames on
 	// a subscription (default 100ms): with no fresh epoch to ship, the
@@ -216,24 +216,29 @@ func (s *Server) Arity() int { return s.opts.Arity }
 // (Exchange), so callers must not cache the pointer across epochs.
 func (s *Server) Tree() *core.Tree { return s.sched.tree.Load() }
 
-// Shard returns this server's shard identity: its shard number, and
-// whether the server is a cluster shard at all.
-func (s *Server) Shard() (uint32, bool) { return s.opts.ShardID, s.opts.Sharded }
-
 // Barrier submits an empty write batch through the scheduler and waits
 // for its epoch: when it returns, every insert admitted before the
 // call has been applied, logged and acknowledged. Used by the
 // rebalance protocol to drain in-flight epochs after a shard-map cut.
-// A full write queue is waited out; ErrShutdown reports drain.
 func (s *Server) Barrier() error {
+	_, err := s.submitWait(&writeBatch{})
+	return err
+}
+
+// submitWait submits one batch through the write scheduler and waits
+// for its epoch. The in-process control-plane callers (Barrier,
+// Exchange, Apply) want the wait, not RETRY, so a full write queue is
+// waited out; ErrShutdown reports drain.
+func (s *Server) submitWait(b *writeBatch) (fresh int, err error) {
+	b.done = make(chan writeResult, 1)
 	for {
-		b := &writeBatch{done: make(chan writeResult, 1)}
 		err := s.sched.submit(b)
 		if err == nil {
-			return (<-b.done).err
+			res := <-b.done
+			return res.fresh, res.err
 		}
 		if !errors.Is(err, errBusy) {
-			return err
+			return 0, err
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -246,22 +251,13 @@ func (s *Server) Barrier() error {
 // invalidated. This is the follower fence-retirement path (DESIGN.md
 // §16): the replication apply loop rebuilds the kept complement of a
 // fenced range into a fresh tree and exchanges it in, retiring the
-// moved range without a restart. A full write queue is waited out.
+// moved range without a restart.
 func (s *Server) Exchange(t *core.Tree) error {
 	if t.Arity() != s.opts.Arity {
 		return fmt.Errorf("serve: arity-%d tree for arity-%d relation", t.Arity(), s.opts.Arity)
 	}
-	for {
-		b := &writeBatch{swap: t, done: make(chan writeResult, 1)}
-		err := s.sched.submit(b)
-		if err == nil {
-			return (<-b.done).err
-		}
-		if !errors.Is(err, errBusy) {
-			return err
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	_, err := s.submitWait(&writeBatch{swap: t})
+	return err
 }
 
 // PromoteToLeader flips a follower into a writable leader: the given
@@ -294,26 +290,14 @@ func (s *Server) stamp() (applied, head uint64, healthy bool) {
 // in-process — the same admission, epoch application, durable logging
 // and phase discipline as a network insert, without a connection. The
 // rebalance import path uses it so handed-off tuples reach the
-// destination's log before the source fences them. A full write queue
-// is waited out rather than surfaced as RETRY.
+// destination's log before the source fences them.
 func (s *Server) Apply(batch []tuple.Tuple) (fresh int, err error) {
 	for _, t := range batch {
 		if len(t) != s.opts.Arity {
 			return 0, fmt.Errorf("serve: arity-%d tuple for arity-%d relation", len(t), s.opts.Arity)
 		}
 	}
-	for {
-		b := &writeBatch{tuples: batch, done: make(chan writeResult, 1)}
-		err := s.sched.submit(b)
-		if err == nil {
-			res := <-b.done
-			return res.fresh, res.err
-		}
-		if !errors.Is(err, errBusy) {
-			return 0, err
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	return s.submitWait(&writeBatch{tuples: batch})
 }
 
 // SnapshotNow captures an immutable snapshot of the served tree at a
@@ -442,14 +426,11 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// outFrame is one queued response. version and trace echo the request
-// frame's (version 1 responses for version 1 requests, the request's
-// trace ID for traced ones); they ride in the frame rather than on the
-// connection because readLoop enqueues while writeLoop drains
-// concurrently.
+// outFrame is one queued response. trace echoes the request frame's
+// trace ID; it rides in the frame rather than on the connection because
+// readLoop enqueues while writeLoop drains concurrently.
 type outFrame struct {
 	kind    byte
-	version byte
 	id      uint64
 	trace   obs.TraceID
 	payload []byte
@@ -467,7 +448,6 @@ type serverConn struct {
 	// then flushes whatever responses are still queued (the graceful
 	// half of teardown) before closing the socket.
 	rdClosed  chan struct{}
-	rdOnce    sync.Once
 	closed    chan struct{}
 	closeOnce sync.Once
 	// inflight counts insert helper goroutines that still owe the
@@ -535,7 +515,7 @@ func (c *serverConn) writeLoop() {
 	bw := bufio.NewWriter(c.nc)
 	write := func(f outFrame) error {
 		c.nc.SetWriteDeadline(time.Now().Add(c.s.opts.WriteTimeout))
-		err := writeFrame(bw, f.version, f.kind, f.id, f.trace, f.payload)
+		err := writeFrame(bw, f.kind, f.id, f.trace, f.payload)
 		// Flush eagerly when the queue is empty so pipelined clients are
 		// not stalled behind buffering.
 		if err == nil && len(c.out) == 0 {
@@ -589,7 +569,7 @@ func (c *serverConn) writeFailed() {
 
 func (c *serverConn) readLoop() {
 	defer c.s.wg.Done()
-	defer c.rdOnce.Do(func() { close(c.rdClosed) })
+	defer close(c.rdClosed)
 	defer func() {
 		if c.hints != nil {
 			c.hints.FlushObs()
@@ -599,13 +579,13 @@ func (c *serverConn) readLoop() {
 	br := bufio.NewReader(c.nc)
 	arity := c.s.opts.Arity
 	for {
-		ver, kind, id, trace, payload, err := readFrame(br)
+		kind, id, trace, payload, err := readFrame(br)
 		if err != nil {
 			return // disconnect, protocol error or shutdown deadline
 		}
 		switch kind {
 		case kindHello:
-			c.handleHello(ver, id, trace, payload)
+			c.handleHello(id, trace, payload)
 		case kindRequest:
 			if trace == 0 {
 				// An untraced frame may still start a server-side trace
@@ -619,88 +599,65 @@ func (c *serverConn) readLoop() {
 			}
 			req, err := decodeRequest(id, payload, arity, c.s.opts.MaxBatch)
 			if err != nil {
-				c.send(outFrame{kind: kindResponse, version: ver, id: id, trace: trace, payload: encodeErr(err.Error())})
+				c.sendErr(id, trace, err.Error())
 				return
 			}
 			if req.insert != nil {
-				c.handleInsert(req, ver, trace, frameStart)
+				c.handleInsert(req, trace, frameStart)
 			} else {
-				c.handleReads(req, ver, trace, frameStart)
+				c.handleReads(req, trace, frameStart)
 			}
-		case kindReplSubscribe:
-			if err := c.handleSubscribe(ver, id, trace, payload); err != nil {
-				c.send(outFrame{kind: kindResponse, version: ver, id: id, trace: trace, payload: encodeErr(err.Error())})
+		case kindSubscribe:
+			if err := c.handleSubscribe(id, trace, payload); err != nil {
+				c.sendErr(id, trace, err.Error())
 				return
 			}
 		default:
 			// A response frame from a client is a protocol error.
-			c.send(outFrame{kind: kindResponse, version: ver, id: id, trace: trace, payload: encodeErr("serve: unexpected frame kind")})
+			c.sendErr(id, trace, "serve: unexpected frame kind")
 			return
 		}
 	}
 }
 
+// sendErr answers a frame with a statusErr response.
+func (c *serverConn) sendErr(id uint64, trace obs.TraceID, msg string) {
+	c.send(outFrame{kind: kindResponse, id: id, trace: trace, payload: encodeErr(msg)})
+}
+
 // handleHello answers the arity handshake. A client arity of 0 adopts
-// the server's; any other mismatch is refused. The payload is
-// length-dispatched, each extension appending to the last: a 2-byte
-// payload is a version 1 client (arity only); a 3-byte payload adds
-// the client's maximum protocol version, answered with the negotiated
-// version (min of the two sides'); a 7-byte payload additionally
-// carries the shard number the client expects, answered — after
-// verification against Options.ShardID — with the server's shard
-// number, so a shard-aware client can never ingest data from a shard a
-// stale map misrouted it to.
-func (c *serverConn) handleHello(ver byte, id uint64, trace obs.TraceID, payload []byte) {
-	refuse := func(msg string) {
-		c.send(outFrame{kind: kindResponse, version: ver, id: id, trace: trace, payload: encodeErr(msg)})
-	}
+// the server's; any other mismatch is refused. A 2-byte payload carries
+// the arity only; a 6-byte payload additionally carries the shard
+// number the client expects, answered — after verification against
+// Options.ShardID — with the server's shard number, so a shard-aware
+// client can never ingest data from a shard a stale map misrouted it
+// to.
+func (c *serverConn) handleHello(id uint64, trace obs.TraceID, payload []byte) {
 	r := &rbuf{b: payload}
 	clientArity := int(r.u16())
-	negotiated := byte(protocolV1)
-	withVersion := len(payload) > 2
-	if withVersion {
-		clientMax := r.u8()
-		negotiated = clientMax
-		if negotiated > ProtocolVersion {
-			negotiated = ProtocolVersion
-		}
-		if negotiated < protocolV1 {
-			negotiated = protocolV1
-		}
-	}
-	withShard := len(payload) > 3
+	withShard := len(payload) > 2
 	var wantShard uint32
 	if withShard {
 		wantShard = r.u32()
 	}
-	if err := r.done(); err != nil {
-		refuse(err.Error())
-		return
-	}
-	if withShard {
-		if !c.s.opts.Sharded {
-			refuse(fmt.Sprintf("serve: client expects shard %d but server is not a cluster shard", wantShard))
-			return
+	switch err := r.done(); {
+	case err != nil:
+		c.sendErr(id, trace, err.Error())
+	case withShard && !c.s.opts.Sharded:
+		c.sendErr(id, trace, fmt.Sprintf("serve: client expects shard %d but server is not a cluster shard", wantShard))
+	case withShard && wantShard != c.s.opts.ShardID:
+		c.sendErr(id, trace, fmt.Sprintf("serve: shard mismatch: client expects shard %d, server is shard %d", wantShard, c.s.opts.ShardID))
+	case clientArity != 0 && clientArity != c.s.opts.Arity:
+		c.sendErr(id, trace, fmt.Sprintf("serve: arity mismatch: client %d, server %d", clientArity, c.s.opts.Arity))
+	default:
+		w := &wbuf{}
+		w.u8(statusOK)
+		w.u16(uint16(c.s.opts.Arity))
+		if withShard {
+			w.u32(c.s.opts.ShardID)
 		}
-		if wantShard != c.s.opts.ShardID {
-			refuse(fmt.Sprintf("serve: shard mismatch: client expects shard %d, server is shard %d", wantShard, c.s.opts.ShardID))
-			return
-		}
+		c.send(outFrame{kind: kindHello, id: id, trace: trace, payload: w.b})
 	}
-	if clientArity != 0 && clientArity != c.s.opts.Arity {
-		refuse(fmt.Sprintf("serve: arity mismatch: client %d, server %d", clientArity, c.s.opts.Arity))
-		return
-	}
-	w := &wbuf{}
-	w.u8(statusOK)
-	w.u16(uint16(c.s.opts.Arity))
-	if withVersion {
-		w.u8(negotiated)
-	}
-	if withShard {
-		w.u32(c.s.opts.ShardID)
-	}
-	c.send(outFrame{kind: kindHello, version: negotiated, id: id, trace: trace, payload: w.b})
 }
 
 // handleInsert submits the write batch and hands the epoch wait to a
@@ -709,19 +666,18 @@ func (c *serverConn) handleHello(ver byte, id uint64, trace obs.TraceID, payload
 // each other; clients match by id. A traced frame records one
 // serve.frame.insert span spanning admission to epoch acknowledgement,
 // and its trace rides on the batch so the executing epoch can adopt it.
-func (c *serverConn) handleInsert(req request, ver byte, trace obs.TraceID, frameStart int64) {
-	if c.s.opts.Follower && !c.s.promoted.Load() {
-		c.send(outFrame{kind: kindResponse, version: ver, id: req.id, trace: trace,
-			payload: encodeErr("serve: shard is a read-only follower; write to the leader")})
+func (c *serverConn) handleInsert(req request, trace obs.TraceID, frameStart int64) {
+	if c.s.opts.Stamp != nil && !c.s.promoted.Load() {
+		c.sendErr(req.id, trace, "serve: shard is a read-only follower; write to the leader")
 		return
 	}
 	b := &writeBatch{tuples: req.insert, done: make(chan writeResult, 1), trace: trace}
 	if err := c.s.sched.submit(b); err != nil {
 		if errors.Is(err, errBusy) {
-			c.send(outFrame{kind: kindResponse, version: ver, id: req.id, trace: trace, payload: []byte{statusRetry}})
+			c.send(outFrame{kind: kindResponse, id: req.id, trace: trace, payload: []byte{statusRetry}})
 			return
 		}
-		c.send(outFrame{kind: kindResponse, version: ver, id: req.id, trace: trace, payload: encodeErr(err.Error())})
+		c.sendErr(req.id, trace, err.Error())
 		return
 	}
 	c.s.wg.Add(1)
@@ -731,13 +687,13 @@ func (c *serverConn) handleInsert(req request, ver byte, trace obs.TraceID, fram
 		defer c.inflight.Done()
 		res := <-b.done
 		if res.err != nil {
-			c.send(outFrame{kind: kindResponse, version: ver, id: req.id, trace: trace, payload: encodeErr(res.err.Error())})
+			c.sendErr(req.id, trace, res.err.Error())
 			return
 		}
 		w := &wbuf{}
 		w.u8(statusOK)
 		w.u32(uint32(res.fresh))
-		c.send(outFrame{kind: kindResponse, version: ver, id: req.id, trace: trace, payload: w.b})
+		c.send(outFrame{kind: kindResponse, id: req.id, trace: trace, payload: w.b})
 		if trace != 0 {
 			obs.RecordSpan(trace, 0, 0, obs.SpanServeFrameInsert, frameStart, obs.Clock()-frameStart,
 				uint64(len(req.insert)), uint64(res.fresh))
@@ -755,7 +711,7 @@ func (c *serverConn) handleInsert(req request, ver byte, trace obs.TraceID, fram
 // covering the wait. Every snapshot-served frame records its duration
 // into "hist.serve.gate.bypass.ns" (the time a blocking gate would have
 // added a wait to).
-func (c *serverConn) handleReads(req request, ver byte, trace obs.TraceID, frameStart int64) {
+func (c *serverConn) handleReads(req request, trace obs.TraceID, frameStart int64) {
 	if g := c.s.sched.treeGen.Load(); g != c.hintGen {
 		// A tree exchange retired the tree these hints index; start over.
 		c.hints.FlushObs()
@@ -770,7 +726,7 @@ func (c *serverConn) handleReads(req request, ver byte, trace obs.TraceID, frame
 	}
 	mode, snap, blocked := c.s.sched.beginRead()
 	if mode == readRefused {
-		c.send(outFrame{kind: kindResponse, version: ver, id: req.id, trace: trace, payload: encodeErr(ErrShutdown.Error())})
+		c.sendErr(req.id, trace, ErrShutdown.Error())
 		return
 	}
 	if trace != 0 && blocked {
@@ -783,11 +739,17 @@ func (c *serverConn) handleReads(req request, ver byte, trace obs.TraceID, frame
 	}
 	w := &wbuf{}
 	w.u8(statusOK)
-	for i := range req.reads {
-		if mode == readSnapshot {
-			c.execSnapRead(&req.reads[i], snap, w)
-		} else {
-			c.execRead(&req.reads[i], w)
+	if mode == readSnapshot {
+		// Snapshot descents take no leases (the subtree is frozen), so
+		// there are no hints to consult.
+		rd := snapReader{snap}
+		for i := range req.reads {
+			execRead[core.SnapCursor](c, rd, &req.reads[i], w)
+		}
+	} else {
+		rd := liveReader{c.s.sched.tree.Load(), c.hints}
+		for i := range req.reads {
+			execRead[core.Cursor](c, rd, &req.reads[i], w)
 		}
 	}
 	if mode == readLive {
@@ -800,110 +762,113 @@ func (c *serverConn) handleReads(req request, ver byte, trace obs.TraceID, frame
 	if start != 0 {
 		obs.Observe(obs.HistServeReadNanos, uint64(obs.Clock()-start))
 	}
-	c.send(outFrame{kind: kindResponse, version: ver, id: req.id, trace: trace, payload: w.b})
+	c.send(outFrame{kind: kindResponse, id: req.id, trace: trace, payload: w.b})
 	if trace != 0 {
 		obs.RecordSpan(trace, frameSpan, 0, obs.SpanServeFrameRead, frameStart, obs.Clock()-frameStart,
 			uint64(len(req.reads)), uint64(len(w.b)))
 	}
 }
 
-// execRead evaluates one read operation against the tree and appends its
+// cursor is the iteration surface core.Cursor and core.SnapCursor share
+// (both through pointer receivers). It is a type-parameter constraint,
+// not an interface value: execRead is instantiated once per cursor
+// type, so the scan loop makes direct calls.
+type cursor[C any] interface {
+	*C
+	Valid() bool
+	Tuple() tuple.Tuple
+	Compare(tuple.Tuple) int
+	CopyTo(tuple.Tuple)
+	Next()
+}
+
+// reader is what a read frame executes against: the live tree through
+// the connection's hints between write epochs (liveReader), or the
+// last-epoch snapshot while an epoch holds the gate closed
+// (snapReader).
+type reader[C any] interface {
+	contains(v tuple.Tuple) bool
+	bound(v tuple.Tuple, strict bool) C
+	begin() C
+	len() int
+}
+
+type liveReader struct {
+	t *core.Tree
+	h *core.Hints
+}
+
+func (r liveReader) contains(v tuple.Tuple) bool { return r.t.ContainsHint(v, r.h) }
+func (r liveReader) begin() core.Cursor          { return r.t.Begin() }
+func (r liveReader) len() int                    { return r.t.Len() }
+func (r liveReader) bound(v tuple.Tuple, strict bool) core.Cursor {
+	if strict {
+		return r.t.UpperBoundHint(v, r.h)
+	}
+	return r.t.LowerBoundHint(v, r.h)
+}
+
+type snapReader struct{ s *core.Snapshot }
+
+func (r snapReader) contains(v tuple.Tuple) bool { return r.s.Contains(v) }
+func (r snapReader) begin() core.SnapCursor      { return r.s.Cursor() }
+func (r snapReader) len() int                    { return r.s.Len() }
+func (r snapReader) bound(v tuple.Tuple, strict bool) core.SnapCursor {
+	if strict {
+		return r.s.UpperBound(v)
+	}
+	return r.s.LowerBound(v)
+}
+
+// execRead evaluates one read operation against rd and appends its
 // result to the response.
-func (c *serverConn) execRead(op *readOp, w *wbuf) {
-	t := c.s.sched.tree.Load()
+func execRead[C any, P cursor[C], R reader[C]](c *serverConn, rd R, op *readOp, w *wbuf) {
 	switch op.code {
 	case opContains:
-		w.bool(t.ContainsHint(op.arg, c.hints))
+		w.bool(rd.contains(op.arg))
 	case opLower, opUpper:
-		var cur core.Cursor
-		if op.code == opLower {
-			cur = t.LowerBoundHint(op.arg, c.hints)
-		} else {
-			cur = t.UpperBoundHint(op.arg, c.hints)
-		}
-		if cur.Valid() {
+		cur := rd.bound(op.arg, op.code == opUpper)
+		if P(&cur).Valid() {
 			w.bool(true)
-			w.tuple(cur.Tuple())
+			w.tuple(P(&cur).Tuple())
 		} else {
 			w.bool(false)
 		}
 	case opScan:
-		c.execScan(op, w)
+		// One bounded range scan: from lo (or the start; lo itself
+		// skipped when loStrict) up to hi exclusive, capped at the
+		// effective limit with a truncation flag.
+		limit := int(op.limit)
+		if limit <= 0 || limit > c.s.opts.MaxScan {
+			limit = c.s.opts.MaxScan
+		}
+		var cur C
+		if op.lo != nil {
+			cur = rd.bound(op.lo, op.loStrict)
+		} else {
+			cur = rd.begin()
+		}
+		countAt := len(w.b)
+		w.u32(0) // patched below
+		n := 0
+		truncated := false
+		buf := make(tuple.Tuple, c.s.opts.Arity)
+		for p := P(&cur); p.Valid(); p.Next() {
+			if op.hi != nil && p.Compare(op.hi) >= 0 {
+				break
+			}
+			if n == limit {
+				truncated = true
+				break
+			}
+			p.CopyTo(buf)
+			w.tuple(buf)
+			n++
+		}
+		binary.BigEndian.PutUint32(w.b[countAt:], uint32(n))
+		w.bool(truncated)
 	case opLen:
-		w.u64(uint64(t.Len()))
-	case opStamp:
-		applied, head, healthy := c.s.stamp()
-		w.u64(applied)
-		w.u64(head)
-		w.bool(healthy)
-	}
-}
-
-// execScan runs one bounded range scan: from lo (or the tree start; lo
-// itself skipped when loStrict) up to hi exclusive, capped at the
-// effective limit with a truncation flag.
-func (c *serverConn) execScan(op *readOp, w *wbuf) {
-	limit := int(op.limit)
-	if limit <= 0 || limit > c.s.opts.MaxScan {
-		limit = c.s.opts.MaxScan
-	}
-	t := c.s.sched.tree.Load()
-	var cur core.Cursor
-	if op.lo != nil {
-		if op.loStrict {
-			cur = t.UpperBoundHint(op.lo, c.hints)
-		} else {
-			cur = t.LowerBoundHint(op.lo, c.hints)
-		}
-	} else {
-		cur = t.Begin()
-	}
-	countAt := len(w.b)
-	w.u32(0) // patched below
-	n := 0
-	truncated := false
-	buf := make(tuple.Tuple, c.s.opts.Arity)
-	for cur.Valid() {
-		if op.hi != nil && cur.Compare(op.hi) >= 0 {
-			break
-		}
-		if n == limit {
-			truncated = true
-			break
-		}
-		cur.CopyTo(buf)
-		w.tuple(buf)
-		n++
-		cur.Next()
-	}
-	patchU32(w.b[countAt:], uint32(n))
-	w.bool(truncated)
-}
-
-// execSnapRead evaluates one read operation against the last-epoch
-// snapshot — the gate-bypass twin of execRead. Snapshot descents take no
-// leases (the subtree is frozen), so there are no hints to consult.
-func (c *serverConn) execSnapRead(op *readOp, snap *core.Snapshot, w *wbuf) {
-	switch op.code {
-	case opContains:
-		w.bool(snap.Contains(op.arg))
-	case opLower, opUpper:
-		var cur core.SnapCursor
-		if op.code == opLower {
-			cur = snap.LowerBound(op.arg)
-		} else {
-			cur = snap.UpperBound(op.arg)
-		}
-		if cur.Valid() {
-			w.bool(true)
-			w.tuple(cur.Tuple())
-		} else {
-			w.bool(false)
-		}
-	case opScan:
-		c.execSnapScan(op, snap, w)
-	case opLen:
-		w.u64(uint64(snap.Len()))
+		w.u64(uint64(rd.len()))
 	case opStamp:
 		// Safe from the snapshot path too: a handed-out snapshot is never
 		// stale (scheduler.snapStale blocks instead), so the stamp cannot
@@ -913,51 +878,4 @@ func (c *serverConn) execSnapRead(op *readOp, snap *core.Snapshot, w *wbuf) {
 		w.u64(head)
 		w.bool(healthy)
 	}
-}
-
-// execSnapScan is execScan against the last-epoch snapshot: same bounds,
-// cap and truncation contract, over the frozen subtree's stack cursor.
-func (c *serverConn) execSnapScan(op *readOp, snap *core.Snapshot, w *wbuf) {
-	limit := int(op.limit)
-	if limit <= 0 || limit > c.s.opts.MaxScan {
-		limit = c.s.opts.MaxScan
-	}
-	var cur core.SnapCursor
-	if op.lo != nil {
-		if op.loStrict {
-			cur = snap.UpperBound(op.lo)
-		} else {
-			cur = snap.LowerBound(op.lo)
-		}
-	} else {
-		cur = snap.Cursor()
-	}
-	countAt := len(w.b)
-	w.u32(0) // patched below
-	n := 0
-	truncated := false
-	buf := make(tuple.Tuple, c.s.opts.Arity)
-	for cur.Valid() {
-		if op.hi != nil && cur.Compare(op.hi) >= 0 {
-			break
-		}
-		if n == limit {
-			truncated = true
-			break
-		}
-		cur.CopyTo(buf)
-		w.tuple(buf)
-		n++
-		cur.Next()
-	}
-	patchU32(w.b[countAt:], uint32(n))
-	w.bool(truncated)
-}
-
-// patchU32 overwrites a previously appended big-endian uint32 in place.
-func patchU32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
 }

@@ -21,39 +21,33 @@
 // admitted work before closing connections.
 //
 // This file defines the wire protocol. It is a length-prefixed binary
-// framing with no dependencies outside the standard library:
+// framing with no dependencies outside the standard library, in exactly
+// one version — there has never been a deployed peer speaking another,
+// so a frame whose version byte is not ProtocolVersion is a protocol
+// error, not something to negotiate:
 //
 //	offset  size  field
 //	0       2     magic "sb"
-//	2       1     protocol version (1, 2 or 3)
+//	2       1     protocol version (ProtocolVersion)
 //	3       1     frame kind (hello / request / response / replication)
 //	4       8     request id, big-endian (echoed by the response)
 //	12      4     payload length, big-endian (at most MaxPayload)
-//	16      8     trace id, big-endian (version >= 2 frames only)
-//	16/24   —     payload (offset 24 in version >= 2 frames)
+//	16      8     trace id, big-endian
+//	24      —     payload
 //
-// Version 2 extends the version 1 header by one field: an 8-byte trace
-// ID linking the frame to the observability layer's span tracer
-// (internal/obs, DESIGN.md §13). A zero trace ID means "not traced";
-// responses echo the request's trace ID. Version 3 (the current
-// ProtocolVersion) keeps the version 2 header and adds the replication
-// frame family (subscribe / snapshot page / epoch / heartbeat,
-// replica.go) and the opStamp read opcode — a follower's applied-epoch
-// watermark, answered atomically with the other reads of its frame. All
-// versions are accepted on the read side, and each frame is answered in
-// the version it arrived in, so old clients interoperate unchanged.
+// The trace ID links the frame to the observability layer's span tracer
+// (internal/obs, DESIGN.md §13). Zero means "not traced"; responses echo
+// the request's trace ID.
 //
-// A connection starts with a hello exchange (client states its tuple
-// arity, or 0 to adopt the server's; the server answers with the served
-// arity). A version 2 hello appends the client's maximum protocol
-// version to the arity, and the server's answer appends the negotiated
-// version; a 2-byte hello payload is a version 1 client and the answer
-// omits the version byte. After the hello, request frames carry a batch
-// of operations and may be pipelined: the server may answer frames out
-// of order, and responses are matched to requests by id. A request
-// frame is *homogeneous*: either a batch of read operations or a single
-// insert batch — never both, so its phase classification is
-// unambiguous.
+// A connection starts with a hello exchange: the client states its tuple
+// arity (0 adopts the server's) and, when it expects a particular
+// cluster shard, that shard's number; the server answers with the served
+// arity and — having verified it — its shard number. After the hello,
+// request frames carry a batch of operations and may be pipelined: the
+// server may answer frames out of order, and responses are matched to
+// requests by id. A request frame is *homogeneous*: either a batch of
+// read operations or a single insert batch — never both, so its phase
+// classification is unambiguous.
 //
 // Request payload: uint16 operation count, then operations in order.
 // Each operation is an opcode byte followed by its arguments; tuples are
@@ -68,9 +62,9 @@
 //	opLen       (no arguments)
 //	opInsert    uint32 tuple count, tuples (write; must be the frame's
 //	            only operation)
-//	opStamp     (no arguments; version 3) — the server's replication
-//	            stamp, evaluated under the same read admission as the
-//	            frame's other operations
+//	opStamp     (no arguments) — the server's replication stamp (a
+//	            follower's applied-epoch watermark), evaluated under the
+//	            same read admission as the frame's other operations
 //
 // Response payload: status byte, then per-operation results in request
 // order (statusOK), nothing (statusRetry — write queue full, resend
@@ -83,6 +77,11 @@
 //	opLen       uint64
 //	opInsert    uint32 fresh (tuples not previously present)
 //	opStamp     uint64 applied, uint64 head, healthy bool byte
+//
+// The replication frame family (subscribe / snapshot page / epoch /
+// heartbeat, replica.go) is server-push; its epoch frame carries the
+// shard log's own records (epoch.go), so the bytes a follower receives
+// are the bytes recovery reads.
 //
 // Integers are big-endian throughout. Unknown versions, kinds, opcodes,
 // oversized payloads and truncated frames are protocol errors; the
@@ -99,52 +98,37 @@ import (
 	"specbtree/internal/tuple"
 )
 
-// ProtocolVersion is the current wire-protocol version: version 3 adds
-// the replication frame family and the opStamp opcode to the version 2
-// header (which carries an 8-byte trace ID). Versions 1 and 2 are still
-// accepted and negotiated down to during hello.
+// ProtocolVersion is the wire-protocol version byte every frame carries.
 const ProtocolVersion = 3
-
-// protocolV1 is the pre-tracing wire version, kept readable and
-// writable for old peers.
-const protocolV1 = 1
-
-// protocolV2 introduced the trace-ID header field; every version >= 2
-// frame carries it.
-const protocolV2 = 2
 
 // MaxPayload bounds a frame payload; larger length prefixes are protocol
 // errors, protecting both sides from corrupt or hostile peers.
 const MaxPayload = 1 << 24
 
-// headerSize is the fixed frame-header length common to both versions;
-// version 2 headers carry traceFieldSize more bytes after it.
-const headerSize = 16
+// headerSize is the fixed frame-header length.
+const headerSize = 24
 
-// traceFieldSize is the size of the version 2 header's trace-ID field.
-const traceFieldSize = 8
-
-// Frame kinds. The replication kinds (version 3) are a server-push
-// family: a follower sends one kindReplSubscribe, the server answers it
-// with a kindResponse and then pushes snapshot pages, epochs and
-// heartbeats carrying the subscribe frame's id (replica.go).
+// Frame kinds. The replication kinds are a server-push family: a
+// follower sends one kindSubscribe, the server answers it with a
+// kindResponse and then pushes snapshot pages, epochs and heartbeats
+// carrying the subscribe frame's id (replica.go).
 const (
 	kindHello    = 1
 	kindRequest  = 2
 	kindResponse = 3
-	// kindReplSubscribe (client -> server) opens an epoch stream:
-	// payload = flags u8 (bit0: bootstrap snapshot wanted), after u64.
-	kindReplSubscribe = 4
-	// kindReplSnapPage (server -> client) carries one bootstrap
+	// kindSubscribe (client -> server) opens an epoch stream after the
+	// given epoch, preceded by a bootstrap snapshot when that is 0:
+	// payload = after u64.
+	kindSubscribe = 4
+	// kindSnapPage (server -> client) carries one bootstrap
 	// snapshot page: base u64, last bool u8, count u32, tuples.
-	kindReplSnapPage = 5
-	// kindReplEpoch (server -> client) carries one committed epoch:
-	// seq u64, head u64, batch count u32 (each: count u32, tuples),
-	// fence count u32 (each: lo u64, hi u64, dst u32).
-	kindReplEpoch = 6
-	// kindReplHeartbeat (server -> client) refreshes the leader's
+	kindSnapPage = 5
+	// kindEpoch (server -> client) carries one committed epoch:
+	// head u64, then the epoch's log records (AppendEpoch).
+	kindEpoch = 6
+	// kindHeartbeat (server -> client) refreshes the leader's
 	// committed head while the log is idle: head u64.
-	kindReplHeartbeat = 7
+	kindHeartbeat = 7
 )
 
 // Operation codes.
@@ -176,28 +160,19 @@ const (
 // are torn down.
 var errProtocol = errors.New("serve: protocol error")
 
-// writeFrame writes one frame in the given protocol version (a version
-// 1 frame drops the trace field; its trace must be zero by then). The
-// caller serialises writers.
-func writeFrame(w io.Writer, version, kind byte, id uint64, trace obs.TraceID, payload []byte) error {
+// writeFrame writes one frame. The caller serialises writers.
+func writeFrame(w io.Writer, kind byte, id uint64, trace obs.TraceID, payload []byte) error {
 	if len(payload) > MaxPayload {
 		return fmt.Errorf("%w: payload %d exceeds MaxPayload", errProtocol, len(payload))
 	}
-	if version < protocolV1 || version > ProtocolVersion {
-		return fmt.Errorf("%w: cannot write version %d", errProtocol, version)
-	}
-	var hdr [headerSize + traceFieldSize]byte
+	var hdr [headerSize]byte
 	hdr[0], hdr[1] = 's', 'b'
-	hdr[2] = version
+	hdr[2] = ProtocolVersion
 	hdr[3] = kind
 	binary.BigEndian.PutUint64(hdr[4:12], id)
 	binary.BigEndian.PutUint32(hdr[12:16], uint32(len(payload)))
-	n := headerSize
-	if version >= protocolV2 {
-		binary.BigEndian.PutUint64(hdr[16:24], uint64(trace))
-		n += traceFieldSize
-	}
-	if _, err := w.Write(hdr[:n]); err != nil {
+	binary.BigEndian.PutUint64(hdr[16:24], uint64(trace))
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	if len(payload) > 0 {
@@ -208,47 +183,35 @@ func writeFrame(w io.Writer, version, kind byte, id uint64, trace obs.TraceID, p
 	return nil
 }
 
-// readFrame reads one frame of either protocol version, bounding the
-// payload at MaxPayload. Version 1 frames report trace 0.
-func readFrame(r io.Reader) (version, kind byte, id uint64, trace obs.TraceID, payload []byte, err error) {
+// readFrame reads one frame, bounding the payload at MaxPayload.
+func readFrame(r io.Reader) (kind byte, id uint64, trace obs.TraceID, payload []byte, err error) {
 	var hdr [headerSize]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, 0, 0, nil, err
+		return 0, 0, 0, nil, err
 	}
 	if hdr[0] != 's' || hdr[1] != 'b' {
-		return 0, 0, 0, 0, nil, fmt.Errorf("%w: bad magic %q", errProtocol, hdr[0:2])
+		return 0, 0, 0, nil, fmt.Errorf("%w: bad magic %q", errProtocol, hdr[0:2])
 	}
-	version = hdr[2]
-	if version < protocolV1 || version > ProtocolVersion {
-		return 0, 0, 0, 0, nil, fmt.Errorf("%w: version %d, want %d..%d", errProtocol, version, protocolV1, ProtocolVersion)
+	if hdr[2] != ProtocolVersion {
+		return 0, 0, 0, nil, fmt.Errorf("%w: version %d, want %d", errProtocol, hdr[2], ProtocolVersion)
 	}
 	kind = hdr[3]
-	switch {
-	case kind == kindHello || kind == kindRequest || kind == kindResponse:
-	case kind >= kindReplSubscribe && kind <= kindReplHeartbeat && version >= ProtocolVersion:
-		// Replication frames exist only from version 3 on.
-	default:
-		return 0, 0, 0, 0, nil, fmt.Errorf("%w: unknown frame kind %d for version %d", errProtocol, kind, version)
+	if kind < kindHello || kind > kindHeartbeat {
+		return 0, 0, 0, nil, fmt.Errorf("%w: unknown frame kind %d", errProtocol, kind)
 	}
 	id = binary.BigEndian.Uint64(hdr[4:12])
 	n := binary.BigEndian.Uint32(hdr[12:16])
 	if n > MaxPayload {
-		return 0, 0, 0, 0, nil, fmt.Errorf("%w: payload %d exceeds MaxPayload", errProtocol, n)
+		return 0, 0, 0, nil, fmt.Errorf("%w: payload %d exceeds MaxPayload", errProtocol, n)
 	}
-	if version >= protocolV2 {
-		var tr [traceFieldSize]byte
-		if _, err = io.ReadFull(r, tr[:]); err != nil {
-			return 0, 0, 0, 0, nil, err
-		}
-		trace = obs.TraceID(binary.BigEndian.Uint64(tr[:]))
-	}
+	trace = obs.TraceID(binary.BigEndian.Uint64(hdr[16:24]))
 	if n > 0 {
 		payload = make([]byte, n)
 		if _, err = io.ReadFull(r, payload); err != nil {
-			return 0, 0, 0, 0, nil, err
+			return 0, 0, 0, nil, err
 		}
 	}
-	return version, kind, id, trace, payload, nil
+	return kind, id, trace, payload, nil
 }
 
 // wbuf is an append-only payload encoder.
@@ -271,6 +234,15 @@ func (w *wbuf) tuple(t tuple.Tuple) {
 	}
 }
 
+// tuples encodes a uint32 count followed by the tuples (rbuf.tuples
+// decodes it).
+func (w *wbuf) tuples(ts []tuple.Tuple) {
+	w.u32(uint32(len(ts)))
+	for _, t := range ts {
+		w.tuple(t)
+	}
+}
+
 // rbuf is a cursor-based payload decoder. The first failed read latches
 // err; subsequent reads return zero values, so decode sequences need a
 // single error check at the end.
@@ -286,59 +258,76 @@ func (r *rbuf) fail() {
 	}
 }
 
-func (r *rbuf) u8() byte {
-	if r.err != nil || r.off+1 > len(r.b) {
+// take consumes the next n payload bytes; nil (with the truncation
+// error latched) when fewer remain. Every fixed-width read bounds-checks
+// here.
+func (r *rbuf) take(n int) []byte {
+	if r.err != nil || n < 0 || n > len(r.b)-r.off {
 		r.fail()
-		return 0
+		return nil
 	}
-	v := r.b[r.off]
-	r.off++
-	return v
+	b := r.b[r.off : r.off+n]
+	r.off += n
+	return b
+}
+
+func (r *rbuf) u8() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
 }
 
 func (r *rbuf) u16() uint16 {
-	if r.err != nil || r.off+2 > len(r.b) {
-		r.fail()
-		return 0
+	if b := r.take(2); b != nil {
+		return binary.BigEndian.Uint16(b)
 	}
-	v := binary.BigEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
+	return 0
 }
 
 func (r *rbuf) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
+	if b := r.take(4); b != nil {
+		return binary.BigEndian.Uint32(b)
 	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
+	return 0
 }
 
 func (r *rbuf) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
+	if b := r.take(8); b != nil {
+		return binary.BigEndian.Uint64(b)
 	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
+	return 0
 }
 
 func (r *rbuf) bool() bool { return r.u8() != 0 }
 
 func (r *rbuf) tuple(arity int) tuple.Tuple {
-	if r.err != nil || r.off+8*arity > len(r.b) {
-		r.fail()
+	b := r.take(8 * arity)
+	if b == nil {
 		return nil
 	}
 	t := make(tuple.Tuple, arity)
 	for i := range t {
-		t[i] = binary.BigEndian.Uint64(r.b[r.off:])
-		r.off += 8
+		t[i] = binary.BigEndian.Uint64(b[8*i:])
 	}
 	return t
+}
+
+// tuples decodes a uint32 count followed by that many tuples. The count
+// is checked against the remaining bytes by division: the product form
+// (off + 8*arity*n > len) overflows int on 32-bit platforms for a
+// hostile count, wrapping negative and slipping past the check.
+func (r *rbuf) tuples(arity int) []tuple.Tuple {
+	n := int(r.u32())
+	if r.err != nil || arity <= 0 || n < 0 || n > (len(r.b)-r.off)/(8*arity) {
+		r.fail()
+		return nil
+	}
+	out := make([]tuple.Tuple, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, r.tuple(arity))
+	}
+	return out
 }
 
 // done reports decoding success: no latched error and no trailing bytes.
@@ -411,10 +400,7 @@ func decodeRequest(id uint64, payload []byte, arity, maxBatch int) (request, err
 			return req, fmt.Errorf("%w: unknown opcode %d", errProtocol, code)
 		}
 	}
-	if err := r.done(); err != nil {
-		return req, err
-	}
-	return req, nil
+	return req, r.done()
 }
 
 // encodeErr renders a statusErr response payload.

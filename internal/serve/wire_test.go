@@ -6,60 +6,36 @@ import (
 	"strings"
 	"testing"
 
-	"specbtree/internal/obs"
 	"specbtree/internal/tuple"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xab}, 1000)}
-	for _, version := range []byte{protocolV1, ProtocolVersion} {
-		wantTrace := obs.TraceID(0)
-		if version >= ProtocolVersion {
-			wantTrace = 77
+	for _, p := range payloads {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, kindRequest, 42, 77, p); err != nil {
+			t.Fatalf("writeFrame: %v", err)
 		}
-		for _, p := range payloads {
-			var buf bytes.Buffer
-			if err := writeFrame(&buf, version, kindRequest, 42, wantTrace, p); err != nil {
-				t.Fatalf("writeFrame v%d: %v", version, err)
-			}
-			ver, kind, id, trace, got, err := readFrame(&buf)
-			if err != nil {
-				t.Fatalf("readFrame v%d: %v", version, err)
-			}
-			if ver != version || kind != kindRequest || id != 42 || trace != wantTrace {
-				t.Fatalf("ver=%d kind=%d id=%d trace=%d, want ver=%d kind=%d id=42 trace=%d",
-					ver, kind, id, trace, version, kindRequest, wantTrace)
-			}
-			if !bytes.Equal(got, p) {
-				t.Fatalf("payload %x, want %x", got, p)
-			}
+		if buf.Len() != headerSize+len(p) {
+			t.Fatalf("frame is %d bytes, want %d", buf.Len(), headerSize+len(p))
 		}
-	}
-}
-
-// TestFrameV1DropsTrace pins the downgrade rule: a version 1 frame has
-// no trace field, so a trace written through it does not survive.
-func TestFrameV1DropsTrace(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, protocolV1, kindRequest, 7, 99, []byte{1}); err != nil {
-		t.Fatalf("writeFrame: %v", err)
-	}
-	if buf.Len() != headerSize+1 {
-		t.Fatalf("v1 frame is %d bytes, want %d", buf.Len(), headerSize+1)
-	}
-	_, _, _, trace, _, err := readFrame(&buf)
-	if err != nil {
-		t.Fatalf("readFrame: %v", err)
-	}
-	if trace != 0 {
-		t.Fatalf("trace = %d, want 0 through a v1 frame", trace)
+		kind, id, trace, got, err := readFrame(&buf)
+		if err != nil {
+			t.Fatalf("readFrame: %v", err)
+		}
+		if kind != kindRequest || id != 42 || trace != 77 {
+			t.Fatalf("kind=%d id=%d trace=%d, want kind=%d id=42 trace=77", kind, id, trace, kindRequest)
+		}
+		if !bytes.Equal(got, p) {
+			t.Fatalf("payload %x, want %x", got, p)
+		}
 	}
 }
 
 func TestFrameRejectsMalformedHeaders(t *testing.T) {
 	good := func() []byte {
 		var buf bytes.Buffer
-		writeFrame(&buf, ProtocolVersion, kindHello, 1, 0, []byte{0, 0})
+		writeFrame(&buf, kindHello, 1, 0, []byte{0, 0})
 		return buf.Bytes()
 	}
 	cases := []struct {
@@ -68,6 +44,7 @@ func TestFrameRejectsMalformedHeaders(t *testing.T) {
 	}{
 		{"bad magic", func(b []byte) []byte { b[0] = 'x'; return b }},
 		{"bad version", func(b []byte) []byte { b[2] = 99; return b }},
+		{"older version", func(b []byte) []byte { b[2] = ProtocolVersion - 1; return b }},
 		{"bad kind", func(b []byte) []byte { b[3] = 77; return b }},
 		{"oversized payload", func(b []byte) []byte {
 			b[12], b[13], b[14], b[15] = 0xff, 0xff, 0xff, 0xff
@@ -77,7 +54,7 @@ func TestFrameRejectsMalformedHeaders(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.corrupt(good())
-			_, _, _, _, _, err := readFrame(bytes.NewReader(b))
+			_, _, _, _, err := readFrame(bytes.NewReader(b))
 			if !errors.Is(err, errProtocol) {
 				t.Fatalf("err = %v, want errProtocol", err)
 			}
@@ -86,14 +63,7 @@ func TestFrameRejectsMalformedHeaders(t *testing.T) {
 }
 
 func TestWriteFrameRejectsOversizedPayload(t *testing.T) {
-	err := writeFrame(&bytes.Buffer{}, ProtocolVersion, kindRequest, 1, 0, make([]byte, MaxPayload+1))
-	if !errors.Is(err, errProtocol) {
-		t.Fatalf("err = %v, want errProtocol", err)
-	}
-}
-
-func TestWriteFrameRejectsUnknownVersion(t *testing.T) {
-	err := writeFrame(&bytes.Buffer{}, ProtocolVersion+1, kindRequest, 1, 0, nil)
+	err := writeFrame(&bytes.Buffer{}, kindRequest, 1, 0, make([]byte, MaxPayload+1))
 	if !errors.Is(err, errProtocol) {
 		t.Fatalf("err = %v, want errProtocol", err)
 	}

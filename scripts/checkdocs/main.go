@@ -7,11 +7,9 @@
 //  2. every counter, histogram and contention-site name of the metrics
 //     contract must appear in DESIGN.md, so the §9 tables cannot drift
 //     from the code,
-//  3. the frozen counter and histogram names (v1, the serving
-//     subsystem's, the streaming query-execution set, and the
-//     epoch-snapshot set) are still
-//     registered — the contract is append-only, so renaming or deleting
-//     a published name is an error — and
+//  3. the frozen counter and histogram names are still registered — the
+//     contract is append-only, so renaming or deleting a published name
+//     is an error — and
 //  4. DESIGN.md names the current schema version, the flight-recorder
 //     JSON field names, and the §12 evaluation strategies.
 //
@@ -30,12 +28,14 @@ import (
 	"specbtree/internal/obs"
 )
 
-// frozenV1Counters is the complete counter list of the
-// specbtree.metrics.v1 schema, frozen at the moment v2 shipped. The
-// contract is append-only: every name below must stay registered in
-// obs.Names() forever. Extend this list only when freezing a new schema
-// version.
-var frozenV1Counters = []string{
+// frozenCounters is every counter name a published metrics schema has
+// carried, in the order the schemas froze them (the v1 list, then the
+// serving, streaming-query, epoch-snapshot, cluster and replication
+// subsystems as each shipped). The contract is append-only: every name
+// below must stay registered in obs.Names() forever. Extend this list
+// only when freezing a new schema version.
+var frozenCounters = []string{
+	// specbtree.metrics.v1
 	"core.descents",
 	"core.restarts",
 	"core.split.inner",
@@ -57,13 +57,7 @@ var frozenV1Counters = []string{
 	"optlock.upgrade.failures",
 	"optlock.upgrade.successes",
 	"optlock.write.spins",
-}
-
-// frozenServeCounters and frozenServeHistograms freeze the serving
-// subsystem's names at the moment the subsystem shipped (DESIGN.md §11).
-// Same append-only contract as the v1 list: every name must stay
-// registered forever.
-var frozenServeCounters = []string{
+	// the serving subsystem (DESIGN.md §11)
 	"serve.read.ops",
 	"serve.write.ops",
 	"serve.write.batches",
@@ -72,20 +66,7 @@ var frozenServeCounters = []string{
 	"serve.conns.accepted",
 	"serve.conns.dropped",
 	"serve.phase.violations",
-}
-
-var frozenServeHistograms = []string{
-	"hist.serve.read.ns",
-	"hist.serve.write_batch.ns",
-	"hist.serve.epoch.ns",
-	"hist.serve.queue.depth",
-}
-
-// frozenQueryCounters and frozenQueryHistograms freeze the streaming
-// query-execution names at the moment the iterator evaluator and plan
-// cache shipped (specbtree.metrics.v3, DESIGN.md §12). Same append-only
-// contract: every name must stay registered forever.
-var frozenQueryCounters = []string{
+	// streaming query execution (specbtree.metrics.v3, DESIGN.md §12)
 	"datalog.plan.cache_hits",
 	"datalog.plan.cache_misses",
 	"datalog.plan.cache_invalidations",
@@ -93,30 +74,10 @@ var frozenQueryCounters = []string{
 	"datalog.iter.rows",
 	"datalog.iter.pushdown_scans",
 	"datalog.iter.residual_rows",
-}
-
-var frozenQueryHistograms = []string{
-	"hist.datalog.pushdown.selectivity",
-}
-
-// frozenSnapshotCounters and frozenSnapshotHistograms freeze the
-// epoch-snapshot names at the moment snapshot reads shipped
-// (specbtree.metrics.v4, DESIGN.md §14). Same append-only contract:
-// every name must stay registered forever.
-var frozenSnapshotCounters = []string{
+	// epoch snapshots (specbtree.metrics.v4, DESIGN.md §14)
 	"core.cow.clones",
 	"serve.snapshot.reads",
-}
-
-var frozenSnapshotHistograms = []string{
-	"hist.serve.gate.bypass.ns",
-}
-
-// frozenClusterCounters and frozenClusterHistograms freeze the sharded
-// cluster names at the moment the cluster subsystem shipped
-// (specbtree.metrics.v5, DESIGN.md §15). Same append-only contract:
-// every name must stay registered forever.
-var frozenClusterCounters = []string{
+	// the sharded cluster (specbtree.metrics.v5, DESIGN.md §15)
 	"cluster.log.records",
 	"cluster.log.bytes",
 	"cluster.log.replay.tuples",
@@ -128,17 +89,7 @@ var frozenClusterCounters = []string{
 	"cluster.scan.fanouts",
 	"cluster.scan.dupes",
 	"cluster.scan.restarts",
-}
-
-var frozenClusterHistograms = []string{
-	"hist.cluster.log.flush.ns",
-}
-
-// frozenReplicaCounters and frozenReplicaHistograms freeze the
-// follower replication names at the moment streaming read replicas
-// shipped (specbtree.metrics.v6, DESIGN.md §16). Same append-only
-// contract: every name must stay registered forever.
-var frozenReplicaCounters = []string{
+	// follower replication (specbtree.metrics.v6, DESIGN.md §16)
 	"replica.stream.epochs",
 	"replica.apply.epochs",
 	"replica.apply.tuples",
@@ -149,7 +100,16 @@ var frozenReplicaCounters = []string{
 	"replica.promotions",
 }
 
-var frozenReplicaHistograms = []string{
+// frozenHistograms is the histogram counterpart of frozenCounters, under
+// the same append-only contract against obs.HistogramNames().
+var frozenHistograms = []string{
+	"hist.serve.read.ns",
+	"hist.serve.write_batch.ns",
+	"hist.serve.epoch.ns",
+	"hist.serve.queue.depth",
+	"hist.datalog.pushdown.selectivity",
+	"hist.serve.gate.bypass.ns",
+	"hist.cluster.log.flush.ns",
 	"hist.replica.lag.epochs",
 }
 
@@ -210,80 +170,8 @@ func main() {
 		problems = append(problems, missing...)
 	}
 
-	registered := map[string]bool{}
-	for _, name := range obs.Names() {
-		registered[name] = true
-	}
-	for _, name := range frozenV1Counters {
-		if !registered[name] {
-			problems = append(problems,
-				fmt.Sprintf("obs: v1 counter %q no longer registered (the metrics contract is append-only)", name))
-		}
-	}
-	for _, name := range frozenServeCounters {
-		if !registered[name] {
-			problems = append(problems,
-				fmt.Sprintf("obs: serve counter %q no longer registered (the metrics contract is append-only)", name))
-		}
-	}
-	for _, name := range frozenQueryCounters {
-		if !registered[name] {
-			problems = append(problems,
-				fmt.Sprintf("obs: query counter %q no longer registered (the metrics contract is append-only)", name))
-		}
-	}
-	for _, name := range frozenSnapshotCounters {
-		if !registered[name] {
-			problems = append(problems,
-				fmt.Sprintf("obs: snapshot counter %q no longer registered (the metrics contract is append-only)", name))
-		}
-	}
-	for _, name := range frozenClusterCounters {
-		if !registered[name] {
-			problems = append(problems,
-				fmt.Sprintf("obs: cluster counter %q no longer registered (the metrics contract is append-only)", name))
-		}
-	}
-	for _, name := range frozenReplicaCounters {
-		if !registered[name] {
-			problems = append(problems,
-				fmt.Sprintf("obs: replica counter %q no longer registered (the metrics contract is append-only)", name))
-		}
-	}
-	registeredHist := map[string]bool{}
-	for _, name := range obs.HistogramNames() {
-		registeredHist[name] = true
-	}
-	for _, name := range frozenServeHistograms {
-		if !registeredHist[name] {
-			problems = append(problems,
-				fmt.Sprintf("obs: serve histogram %q no longer registered (the metrics contract is append-only)", name))
-		}
-	}
-	for _, name := range frozenQueryHistograms {
-		if !registeredHist[name] {
-			problems = append(problems,
-				fmt.Sprintf("obs: query histogram %q no longer registered (the metrics contract is append-only)", name))
-		}
-	}
-	for _, name := range frozenSnapshotHistograms {
-		if !registeredHist[name] {
-			problems = append(problems,
-				fmt.Sprintf("obs: snapshot histogram %q no longer registered (the metrics contract is append-only)", name))
-		}
-	}
-	for _, name := range frozenClusterHistograms {
-		if !registeredHist[name] {
-			problems = append(problems,
-				fmt.Sprintf("obs: cluster histogram %q no longer registered (the metrics contract is append-only)", name))
-		}
-	}
-	for _, name := range frozenReplicaHistograms {
-		if !registeredHist[name] {
-			problems = append(problems,
-				fmt.Sprintf("obs: replica histogram %q no longer registered (the metrics contract is append-only)", name))
-		}
-	}
+	problems = append(problems, unregistered("counter", frozenCounters, obs.Names())...)
+	problems = append(problems, unregistered("histogram", frozenHistograms, obs.HistogramNames())...)
 
 	raw, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
 	if err != nil {
@@ -372,6 +260,23 @@ func main() {
 		}
 		os.Exit(1)
 	}
+}
+
+// unregistered returns one message per frozen name that is no longer in
+// the registry's name list.
+func unregistered(kind string, frozen, names []string) []string {
+	registered := map[string]bool{}
+	for _, name := range names {
+		registered[name] = true
+	}
+	var out []string
+	for _, name := range frozen {
+		if !registered[name] {
+			out = append(out,
+				fmt.Sprintf("obs: %s %q no longer registered (the metrics contract is append-only)", kind, name))
+		}
+	}
+	return out
 }
 
 // undocumentedExports parses the non-test Go files of dir and returns one
