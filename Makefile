@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint check-docs test obsoff race check-harness bench bench-smoke bench-json bench-json-merge bench-json-serve bench-json-datalog bench-json-cluster serve-smoke trace-smoke cluster-smoke replica-smoke figures examples clean
+.PHONY: all build vet lint check-docs test obsoff race check-harness bench bench-smoke bench-json bench-json-merge bench-json-serve bench-json-cluster serve-smoke trace-smoke cluster-smoke replica-smoke figures examples clean
 
 all: build lint test obsoff race check-harness check-docs bench-smoke serve-smoke trace-smoke cluster-smoke replica-smoke
 
@@ -115,21 +115,17 @@ replica-smoke:
 
 # bench-json regenerates the checked-in benchmark documents: the pinned
 # merge-scaling run (>= 1M-tuple source, specbtree.bench.merge.v1), the
-# pinned serving-layer run (specbtree.bench.serve.v1), the pinned
-# evaluation-strategy comparison (specbtree.bench.datalog.v1), and the
-# pinned sharded-cluster run (specbtree.bench.cluster.v1). Figures only
+# pinned serving-layer run (specbtree.bench.serve.v1) and the pinned
+# sharded-cluster run (specbtree.bench.cluster.v1). Figures only
 # mean something relative to the recorded cpus/gomaxprocs fields — see
 # EXPERIMENTS.md.
-bench-json: bench-json-merge bench-json-serve bench-json-datalog bench-json-cluster
+bench-json: bench-json-merge bench-json-serve bench-json-cluster
 
 bench-json-merge:
 	$(GO) run ./cmd/benchmerge -size 1200000 -load 200000 -evalsize 24 -workers 1,2,8 -json > BENCH_merge.json
 
 bench-json-serve:
 	./scripts/bench_serve_json.sh > BENCH_serve.json
-
-bench-json-datalog:
-	$(GO) run ./cmd/benchdatalog -size 2048 -threads 1 -rounds 5 -json > BENCH_datalog.json
 
 bench-json-cluster:
 	./scripts/bench_cluster_json.sh > BENCH_cluster.json

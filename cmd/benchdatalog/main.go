@@ -11,30 +11,21 @@
 // cell, carrying the global observability counters and the per-engine
 // evaluation metrics.
 //
-// With -strategies it runs each cell under several evaluation
-// strategies (stream, stream-nopush, materialize — DESIGN.md §12) so
-// the streaming rewrite and the pushdown ablation are directly
-// comparable; -rounds repeats each cell's evaluation with fresh engines
-// sharing a plan cache, exercising the compilation cache the way a
-// long-lived service does. With -json it emits the pinned
-// strategy-comparison document (specbtree.bench.datalog.v1) for the
-// selective-join workload and exits; `make bench-json-datalog` checks
-// the result in as BENCH_datalog.json.
+// -rounds repeats each cell's evaluation with fresh engines sharing a
+// plan cache, exercising the compilation cache the way a long-lived
+// service does.
 //
 // Usage:
 //
 //	benchdatalog [-workload both|pointsto|security|selective] [-size 256]
 //	             [-threads 1,2,4,8] [-structs btree,btree-nh,...]
-//	             [-strategies stream,...] [-rounds N] [-json]
-//	             [-stats] [-metrics] [-csv] [-serve ADDR]
+//	             [-rounds N] [-stats] [-metrics] [-csv] [-serve ADDR]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -70,12 +61,10 @@ func main() {
 	sizeFlag := flag.Int("size", 256, "workload scale parameter")
 	threadsFlag := flag.String("threads", "1,2,4,8", "comma-separated thread counts (paper: 1..32)")
 	structsFlag := flag.String("structs", strings.Join(figure5Structs, ","), "comma-separated relation providers")
-	strategiesFlag := flag.String("strategies", "stream", "comma-separated evaluation strategies ("+strings.Join(datalog.Strategies(), "|")+")")
 	roundsFlag := flag.Int("rounds", 1, "evaluations per cell with fresh engines sharing a plan cache (rounds > 1 exercise cache hits)")
 	statsFlag := flag.Bool("stats", false, "print Table 2 statistics and hint hit rates")
 	metricsFlag := flag.Bool("metrics", false, "emit a JSON metrics document per (threads, structure) cell")
 	csvFlag := flag.Bool("csv", false, "emit CSV instead of tables")
-	jsonFlag := flag.Bool("json", false, "emit the pinned strategy-comparison document (specbtree.bench.datalog.v1) and exit")
 	seedFlag := flag.Int64("seed", 1, "workload generator seed")
 	suiteFlag := flag.Int("suite", 1, "number of seeded points-to instances summed per cell (the paper totals 11 DaCapo benchmarks)")
 	serveFlag := flag.String("serve", "", "serve /metrics and the debug endpoints on this address (e.g. localhost:6060) for the duration of the run")
@@ -97,26 +86,9 @@ func main() {
 	for _, s := range strings.Split(*structsFlag, ",") {
 		structs = append(structs, strings.TrimSpace(s))
 	}
-	var strategies []datalog.EvalStrategy
-	for _, s := range strings.Split(*strategiesFlag, ",") {
-		strat, err := datalog.ParseStrategy(strings.TrimSpace(s))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		strategies = append(strategies, strat)
-	}
 	if *roundsFlag < 1 {
 		fmt.Fprintln(os.Stderr, "-rounds must be at least 1")
 		os.Exit(2)
-	}
-
-	if *jsonFlag {
-		if err := emitJSONDoc(os.Stdout, *sizeFlag, *seedFlag, threads[0], *roundsFlag); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	// Each experiment row is a suite of workload instances whose runtimes
@@ -147,7 +119,7 @@ func main() {
 		case "security":
 			title = "Figure 5b (EC2-style security analysis, read heavy)"
 		case "selective":
-			title = "Selective-join strategy comparison (DESIGN.md §12)"
+			title = "Selective join (comparison pushdown, DESIGN.md §12)"
 		default:
 			title = "Figure 5a (Doop-style var-points-to, insertion heavy)"
 		}
@@ -166,42 +138,36 @@ func main() {
 					fmt.Fprintln(os.Stderr, err)
 					os.Exit(2)
 				}
-				for _, strat := range strategies {
-					series := sname
-					if len(strategies) > 1 {
-						series = sname + ":" + strat.String()
-					}
-					if *metricsFlag {
-						obs.Reset() // one counter window per table cell
-					}
-					// Fresh engines per round share this cache, so rounds
-					// beyond the first hit the cached compilation.
-					cache := datalog.NewPlanCache(len(suite) + 1)
-					total := 0.0
-					var engMetrics []datalog.Metrics
-					for round := 0; round < *roundsFlag; round++ {
-						engMetrics = engMetrics[:0]
-						for _, inst := range suite {
-							eng, ms := runOnce(inst, provider, nt, strat, cache)
-							total += ms
-							if _, seen := statEngines[series]; !seen {
-								statSeries = append(statSeries, series)
-							}
-							statEngines[series] = eng
-							if *metricsFlag {
-								engMetrics = append(engMetrics, eng.Metrics())
-							}
+				if *metricsFlag {
+					obs.Reset() // one counter window per table cell
+				}
+				// Fresh engines per round share this cache, so rounds
+				// beyond the first hit the cached compilation.
+				cache := datalog.NewPlanCache(len(suite) + 1)
+				total := 0.0
+				var engMetrics []datalog.Metrics
+				for round := 0; round < *roundsFlag; round++ {
+					engMetrics = engMetrics[:0]
+					for _, inst := range suite {
+						eng, ms := runOnce(inst, provider, nt, cache)
+						total += ms
+						if _, seen := statEngines[sname]; !seen {
+							statSeries = append(statSeries, sname)
+						}
+						statEngines[sname] = eng
+						if *metricsFlag {
+							engMetrics = append(engMetrics, eng.Metrics())
 						}
 					}
-					tbl.SeriesNamed(series).Add(float64(nt), total)
-					if *metricsFlag {
-						bench.EmitMetrics(os.Stdout, bench.MetricsDoc{
-							Workload:  w.Name,
-							Structure: series,
-							Threads:   nt,
-							Engines:   engMetrics,
-						})
-					}
+				}
+				tbl.SeriesNamed(sname).Add(float64(nt), total)
+				if *metricsFlag {
+					bench.EmitMetrics(os.Stdout, bench.MetricsDoc{
+						Workload:  w.Name,
+						Structure: sname,
+						Threads:   nt,
+						Engines:   engMetrics,
+					})
 				}
 			}
 		}
@@ -220,12 +186,12 @@ func main() {
 	}
 }
 
-func runOnce(w workload.DatalogWorkload, p relation.Provider, threads int, strat datalog.EvalStrategy, cache *datalog.PlanCache) (*datalog.Engine, float64) {
+func runOnce(w workload.DatalogWorkload, p relation.Provider, threads int, cache *datalog.PlanCache) (*datalog.Engine, float64) {
 	prog, err := datalog.Parse(w.Source)
 	if err != nil {
 		panic(err)
 	}
-	eng, err := datalog.New(prog, datalog.Options{Provider: p, Workers: threads, Strategy: strat, PlanCache: cache})
+	eng, err := datalog.New(prog, datalog.Options{Provider: p, Workers: threads, PlanCache: cache})
 	if err != nil {
 		panic(err)
 	}
@@ -249,107 +215,6 @@ func runOnce(w workload.DatalogWorkload, p relation.Provider, threads int, strat
 	return eng, float64(d.Milliseconds()) + float64(d.Microseconds()%1000)/1000
 }
 
-// datalogDoc is the pinned strategy-comparison document checked in as
-// BENCH_datalog.json (schema specbtree.bench.datalog.v1). It compares
-// the evaluation strategies of DESIGN.md §12 on the selective-join
-// workload — the shape predicate pushdown is built for — and reports
-// the plan-cache economics of repeated rounds.
-type datalogDoc struct {
-	Schema     string           `json:"schema"`
-	CPUs       int              `json:"cpus"`
-	GoMaxProcs int              `json:"gomaxprocs"`
-	GoVersion  string           `json:"go_version"`
-	Seed       int64            `json:"seed"`
-	Workload   string           `json:"workload"`
-	Size       int              `json:"size"`
-	Threads    int              `json:"threads"`
-	Rounds     int              `json:"rounds"`
-	Strategies []strategyResult `json:"strategies"`
-	PlanCache  planCacheDoc     `json:"plan_cache"`
-}
-
-type strategyResult struct {
-	Strategy       string         `json:"strategy"`
-	TotalMillis    float64        `json:"total_ms"`
-	PerRoundMillis float64        `json:"per_round_ms"`
-	StreamScans    uint64         `json:"stream_scans"`
-	PushdownScans  uint64         `json:"pushdown_scans"`
-	StreamRows     uint64         `json:"stream_rows"`
-	ResidualRows   uint64         `json:"residual_rows"`
-	ProducedTuples uint64         `json:"produced_tuples"`
-	Outputs        map[string]int `json:"outputs"`
-	// SlowdownVsStream is this strategy's per-round runtime divided by
-	// the stream strategy's: > 1 means stream is faster.
-	SlowdownVsStream float64 `json:"slowdown_vs_stream"`
-}
-
-type planCacheDoc struct {
-	Hits          uint64  `json:"hits"`
-	Misses        uint64  `json:"misses"`
-	Invalidations uint64  `json:"invalidations"`
-	HitRate       float64 `json:"hit_rate"`
-}
-
-// emitJSONDoc runs every strategy on the selective-join workload for
-// `rounds` rounds, all sharing one plan cache (so the program compiles
-// once and every later engine binds the cached plan), and writes the
-// schema-versioned comparison document.
-func emitJSONDoc(out *os.File, size int, seed int64, threads, rounds int) error {
-	w := workload.Selective(size*4, seed)
-	provider, err := relation.Lookup("btree")
-	if err != nil {
-		return err
-	}
-	cache := datalog.NewPlanCache(4)
-	doc := datalogDoc{
-		Schema:     "specbtree.bench.datalog.v1",
-		CPUs:       runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Seed:       seed,
-		Workload:   w.Name,
-		Size:       size * 4,
-		Threads:    threads,
-		Rounds:     rounds,
-	}
-	for _, strat := range []datalog.EvalStrategy{datalog.EvalStream, datalog.EvalStreamNoPushdown, datalog.EvalMaterialize} {
-		res := strategyResult{Strategy: strat.String(), Outputs: map[string]int{}}
-		for round := 0; round < rounds; round++ {
-			eng, ms := runOnce(w, provider, threads, strat, cache)
-			res.TotalMillis += ms
-			if round == rounds-1 {
-				s := eng.Stats()
-				res.StreamScans = s.StreamScans
-				res.PushdownScans = s.PushdownScans
-				res.StreamRows = s.StreamRows
-				res.ResidualRows = s.ResidualRows
-				res.ProducedTuples = s.ProducedTuples
-				for _, o := range w.Outputs {
-					res.Outputs[o] = eng.Count(o)
-				}
-			}
-		}
-		res.PerRoundMillis = res.TotalMillis / float64(rounds)
-		doc.Strategies = append(doc.Strategies, res)
-	}
-	base := doc.Strategies[0].PerRoundMillis
-	for i := range doc.Strategies {
-		if base > 0 {
-			doc.Strategies[i].SlowdownVsStream = doc.Strategies[i].PerRoundMillis / base
-		}
-	}
-	cs := cache.Stats()
-	doc.PlanCache = planCacheDoc{
-		Hits:          cs.Hits,
-		Misses:        cs.Misses,
-		Invalidations: cs.Invalidations,
-		HitRate:       cs.HitRate(),
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
 // printStats renders the Table 2 block for one (workload, structure)
 // pair, using the statistics of the last engine run with that structure.
 func printStats(w workload.DatalogWorkload, structure string, eng *datalog.Engine) {
@@ -365,7 +230,6 @@ func printStats(w workload.DatalogWorkload, structure string, eng *datalog.Engin
 	fmt.Printf("%-24s %12d\n", "produced tuples", s.ProducedTuples)
 	fmt.Printf("%-24s %12d\n", "fixpoint iterations", s.Iterations)
 	fmt.Printf("%-24s %11.1f%%\n", "hint hit rate", 100*s.HintRate())
-	fmt.Printf("%-24s %12s\n", "strategy", eng.Strategy())
 	fmt.Printf("%-24s %12d\n", "iterator scans", s.StreamScans)
 	fmt.Printf("%-24s %12d\n", "pushdown scans", s.PushdownScans)
 	fmt.Printf("%-24s %12d\n", "iterator rows", s.StreamRows)

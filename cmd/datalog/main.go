@@ -6,7 +6,7 @@
 // Usage:
 //
 //	datalog [-jobs N] [-facts DIR] [-out DIR] [-structure btree] [-stats]
-//	        [-strategy stream] [-explain] [-analyze] [-trace FILE]
+//	        [-explain] [-analyze] [-trace FILE]
 //	        [-metrics] [-serve ADDR] program.dl
 //
 // -explain prints the compiled evaluation plan — index assignment per
@@ -14,9 +14,7 @@
 // evaluating. -analyze evaluates and then prints the plan annotated
 // with per-node actual row counts (EXPLAIN ANALYZE, DESIGN.md §13).
 // -trace forces a trace of the run and dumps it as Chrome trace_event
-// JSON to FILE; combined with -strategy, two runs' traces can be
-// compared span by span. -strategy selects the evaluator (stream,
-// stream-nopush, materialize); see DESIGN.md §12.
+// JSON to FILE, so two runs' traces can be compared span by span.
 //
 // Fact files are DIR/<relation>.facts with one tuple per line, columns
 // separated by tabs. Unsigned integer columns are used verbatim; any other
@@ -60,7 +58,6 @@ func main() {
 	factsDir := flag.String("facts", ".", "directory containing <relation>.facts input files")
 	outDir := flag.String("out", "-", `output directory, or "-" for stdout`)
 	structure := flag.String("structure", "btree", "relation data structure ("+strings.Join(relation.Names(), "|")+")")
-	strategy := flag.String("strategy", "stream", "evaluation strategy ("+strings.Join(datalog.Strategies(), "|")+")")
 	explain := flag.Bool("explain", false, "print the compiled evaluation plan and exit without evaluating")
 	analyze := flag.Bool("analyze", false, "after evaluation, print the plan annotated with actual per-node row counts (EXPLAIN ANALYZE)")
 	traceFile := flag.String("trace", "", "force-trace the evaluation and write Chrome trace_event JSON to FILE after the run")
@@ -83,13 +80,8 @@ func main() {
 		}
 		return
 	}
-	strat, err := datalog.ParseStrategy(*strategy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	if *explain {
-		if err := explainProgram(flag.Arg(0), *structure, strat); err != nil {
+		if err := explainProgram(flag.Arg(0), *structure); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -101,7 +93,7 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopDebug()
-	if err := run(flag.Arg(0), *jobs, *factsDir, *outDir, *structure, strat, *stats, *metrics, *profile, *analyze, *traceFile); err != nil {
+	if err := run(flag.Arg(0), *jobs, *factsDir, *outDir, *structure, *stats, *metrics, *profile, *analyze, *traceFile); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -109,7 +101,7 @@ func main() {
 
 // explainProgram compiles the program (through the plan cache, so the
 // printed cache status is real) and prints the plan without evaluating.
-func explainProgram(progPath, structure string, strat datalog.EvalStrategy) error {
+func explainProgram(progPath, structure string) error {
 	src, err := os.ReadFile(progPath)
 	if err != nil {
 		return err
@@ -122,7 +114,7 @@ func explainProgram(progPath, structure string, strat datalog.EvalStrategy) erro
 	if err != nil {
 		return err
 	}
-	eng, err := datalog.New(prog, datalog.Options{Provider: provider, Strategy: strat})
+	eng, err := datalog.New(prog, datalog.Options{Provider: provider})
 	if err != nil {
 		return err
 	}
@@ -153,7 +145,7 @@ func synthesize(progPath, outPath string) error {
 	return os.WriteFile(outPath, gen, 0o644)
 }
 
-func run(progPath string, jobs int, factsDir, outDir, structure string, strat datalog.EvalStrategy, stats, metrics, profile, analyze bool, traceFile string) error {
+func run(progPath string, jobs int, factsDir, outDir, structure string, stats, metrics, profile, analyze bool, traceFile string) error {
 	src, err := os.ReadFile(progPath)
 	if err != nil {
 		return err
@@ -172,7 +164,7 @@ func run(progPath string, jobs int, factsDir, outDir, structure string, strat da
 			fmt.Fprintln(os.Stderr, "warning: -trace writes an empty trace: observability is compiled out (obsoff)")
 		}
 	}
-	eng, err := datalog.New(prog, datalog.Options{Provider: provider, Workers: jobs, Strategy: strat, TraceID: trace})
+	eng, err := datalog.New(prog, datalog.Options{Provider: provider, Workers: jobs, TraceID: trace})
 	if err != nil {
 		return err
 	}
@@ -206,7 +198,6 @@ func run(progPath string, jobs int, factsDir, outDir, structure string, strat da
 		fmt.Fprintf(os.Stderr, "input tuples:      %d\n", s.InputTuples)
 		fmt.Fprintf(os.Stderr, "produced tuples:   %d\n", s.ProducedTuples)
 		fmt.Fprintf(os.Stderr, "hint hit rate:     %.1f%%\n", 100*s.HintRate())
-		fmt.Fprintf(os.Stderr, "strategy:          %s\n", eng.Strategy())
 		fmt.Fprintf(os.Stderr, "iterator scans:    %d (%d pushdown-tightened)\n", s.StreamScans, s.PushdownScans)
 		fmt.Fprintf(os.Stderr, "iterator rows:     %d (%d residual-rejected)\n", s.StreamRows, s.ResidualRows)
 		fmt.Fprintf(os.Stderr, "plan cache:        %d hit / %d miss\n", s.PlanCacheHits, s.PlanCacheMiss)

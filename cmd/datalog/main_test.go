@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"specbtree/internal/datalog"
 	"specbtree/internal/obs"
 )
 
@@ -31,7 +30,7 @@ path(X, Z) :- path(X, Y), edge(Y, Z).
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "out")
-	if err := run(prog, 2, dir, out, "btree", datalog.EvalStream, false, false, false, false, ""); err != nil {
+	if err := run(prog, 2, dir, out, "btree", false, false, false, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(out, "path.csv"))
@@ -66,7 +65,7 @@ reach(F, H) :- reach(F, G), call(G, H).
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "out")
-	if err := run(prog, 1, dir, out, "btree", datalog.EvalStream, true, true, true, false, ""); err != nil {
+	if err := run(prog, 1, dir, out, "btree", true, true, true, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(out, "reach.csv"))
@@ -99,7 +98,7 @@ path(X, Z) :- path(X, Y), edge(Y, Z).
 		t.Fatal(err)
 	}
 	traceFile := filepath.Join(dir, "trace.json")
-	if err := run(prog, 2, dir, filepath.Join(dir, "out"), "btree", datalog.EvalStream, false, false, false, true, traceFile); err != nil {
+	if err := run(prog, 2, dir, filepath.Join(dir, "out"), "btree", false, false, false, true, traceFile); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(traceFile)
@@ -123,24 +122,24 @@ path(X, Z) :- path(X, Y), edge(Y, Z).
 // TestRunErrors covers the failure paths.
 func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(filepath.Join(dir, "missing.dl"), 1, dir, "-", "btree", datalog.EvalStream, false, false, false, false, ""); err == nil {
+	if err := run(filepath.Join(dir, "missing.dl"), 1, dir, "-", "btree", false, false, false, false, ""); err == nil {
 		t.Error("missing program accepted")
 	}
 	bad := filepath.Join(dir, "bad.dl")
 	os.WriteFile(bad, []byte("p(1)."), 0o644)
-	if err := run(bad, 1, dir, "-", "btree", datalog.EvalStream, false, false, false, false, ""); err == nil {
+	if err := run(bad, 1, dir, "-", "btree", false, false, false, false, ""); err == nil {
 		t.Error("undeclared relation accepted")
 	}
 	okProg := filepath.Join(dir, "ok.dl")
 	os.WriteFile(okProg, []byte(".decl p(x: number)\n.output p\np(1).\n"), 0o644)
-	if err := run(okProg, 1, dir, "-", "nonesuch", datalog.EvalStream, false, false, false, false, ""); err == nil {
+	if err := run(okProg, 1, dir, "-", "nonesuch", false, false, false, false, ""); err == nil {
 		t.Error("unknown structure accepted")
 	}
 	// Malformed facts: wrong column count.
 	tcProg := filepath.Join(dir, "tc.dl")
 	os.WriteFile(tcProg, []byte(".decl e(x: number, y: number)\n.input e\n.output e\n"), 0o644)
 	os.WriteFile(filepath.Join(dir, "e.facts"), []byte("1\t2\t3\n"), 0o644)
-	if err := run(tcProg, 1, dir, "-", "btree", datalog.EvalStream, false, false, false, false, ""); err == nil {
+	if err := run(tcProg, 1, dir, "-", "btree", false, false, false, false, ""); err == nil {
 		t.Error("malformed facts accepted")
 	}
 }
@@ -181,7 +180,7 @@ func TestRunMissingFactsWarnsOnly(t *testing.T) {
 	dir := t.TempDir()
 	prog := filepath.Join(dir, "p.dl")
 	os.WriteFile(prog, []byte(".decl e(x: number)\n.input e\n.output e\n"), 0o644)
-	if err := run(prog, 1, dir, filepath.Join(dir, "out"), "btree", datalog.EvalStream, false, false, false, false, ""); err != nil {
+	if err := run(prog, 1, dir, filepath.Join(dir, "out"), "btree", false, false, false, false, ""); err != nil {
 		t.Fatalf("missing facts file should not fail: %v", err)
 	}
 }

@@ -1,16 +1,15 @@
 package check
 
-// The streaming-vs-materializing differential: the third pillar of the
-// harness, added with the streaming evaluator rewrite. Every evaluation
-// strategy of the Datalog engine must derive exactly the same relations
-// from the same program — the streaming evaluator (composed cursor
-// iterators, comparison pushdown) against the materializing reference,
-// across worker counts and providers (including the cursor-less
-// providers that exercise the fallback iterator). Programs come from
-// the seeded workload generators plus a fixed battery of edge programs
-// (negation, repeated variables, wildcards, comparison chains, empty
-// and contradictory ranges, cross products). A failure report carries
-// the seed line to replay it.
+// The Datalog differential: the third pillar of the harness. The engine
+// must derive exactly the relations of the naive reference evaluator
+// (naive.go), which shares none of the engine's planner, index choice,
+// pushdown or semi-naïve driver, across worker counts and providers —
+// the B-tree with and without hints, and the cursor-less hash set that
+// exercises the fallback iterator and the chunked outer partitioning.
+// Programs come from the seeded workload generators plus a fixed battery
+// of edge programs (negation, repeated variables, wildcards, comparison
+// chains, empty and contradictory ranges, cross products, bodies without
+// a positive atom). A failure report carries the seed line to replay it.
 
 import (
 	"fmt"
@@ -32,7 +31,7 @@ type DatalogConfig struct {
 	Seed int64
 	// Size scales the generated workloads.
 	Size int
-	// Workers lists the worker counts every strategy runs under.
+	// Workers lists the worker counts every provider runs under.
 	Workers []int
 	// Short selects the seed-sized configuration.
 	Short bool
@@ -53,19 +52,18 @@ func (c DatalogConfig) withDefaults() DatalogConfig {
 }
 
 // DatalogViolation is one observed divergence of an evaluation arm from
-// the materializing reference.
+// the naive reference.
 type DatalogViolation struct {
 	Program  string
 	Provider string
-	Strategy string
 	Workers  int
 	Relation string
 	Detail   string
 }
 
 func (v DatalogViolation) String() string {
-	return fmt.Sprintf("%s [%s/%s/%dw] relation %s: %s",
-		v.Program, v.Provider, v.Strategy, v.Workers, v.Relation, v.Detail)
+	return fmt.Sprintf("%s [%s/%dw] relation %s: %s",
+		v.Program, v.Provider, v.Workers, v.Relation, v.Detail)
 }
 
 // DatalogReport is the outcome of one differential run.
@@ -91,17 +89,18 @@ func (r *DatalogReport) Summary() string {
 	return b.String()
 }
 
-// diffArm is one evaluation configuration compared against the reference.
+// diffArm is one engine configuration compared against the reference.
 type diffArm struct {
 	provider string
-	strategy datalog.EvalStrategy
 	workers  int
 }
 
-// RunDatalogDiff evaluates every program under every (provider,
-// strategy, workers) arm and cross-checks all declared relations
-// against the single-worker materializing reference on the default
-// B-tree provider.
+// diffProviders are the relation providers every worker count runs on.
+var diffProviders = []string{"btree", "btree-nh", "hashset"}
+
+// RunDatalogDiff evaluates every program under every (provider, workers)
+// arm and cross-checks all declared relations against the naive
+// reference.
 func RunDatalogDiff(cfg DatalogConfig) DatalogReport {
 	cfg = cfg.withDefaults()
 	rep := DatalogReport{Config: cfg}
@@ -116,20 +115,17 @@ func RunDatalogDiff(cfg DatalogConfig) DatalogReport {
 
 	var arms []diffArm
 	for _, w := range cfg.Workers {
-		for _, s := range []datalog.EvalStrategy{datalog.EvalStream, datalog.EvalStreamNoPushdown, datalog.EvalMaterialize} {
-			arms = append(arms, diffArm{provider: "btree", strategy: s, workers: w})
+		for _, p := range diffProviders {
+			arms = append(arms, diffArm{provider: p, workers: w})
 		}
-		// The hash provider has no ordered cursor: the streaming arm runs
-		// through the fallback iterator and the chunked outer partitioning.
-		arms = append(arms, diffArm{provider: "hashset", strategy: datalog.EvalStream, workers: w})
 	}
 
 	for _, prog := range programs {
-		ref, err := evalDiffArm(prog, diffArm{provider: "btree", strategy: datalog.EvalMaterialize, workers: 1})
+		ref, err := naiveEval(prog.Source, prog.Facts)
 		if err != nil {
 			rep.Violations = append(rep.Violations, DatalogViolation{
-				Program: prog.Name, Provider: "btree", Strategy: "materialize", Workers: 1,
-				Relation: "-", Detail: fmt.Sprintf("reference evaluation failed: %v", err),
+				Program: prog.Name, Provider: "naive", Relation: "-",
+				Detail: fmt.Sprintf("reference evaluation failed: %v", err),
 			})
 			continue
 		}
@@ -138,7 +134,7 @@ func RunDatalogDiff(cfg DatalogConfig) DatalogReport {
 			got, err := evalDiffArm(prog, arm)
 			if err != nil {
 				rep.Violations = append(rep.Violations, DatalogViolation{
-					Program: prog.Name, Provider: arm.provider, Strategy: arm.strategy.String(),
+					Program: prog.Name, Provider: arm.provider,
 					Workers: arm.workers, Relation: "-", Detail: err.Error(),
 				})
 				continue
@@ -146,7 +142,7 @@ func RunDatalogDiff(cfg DatalogConfig) DatalogReport {
 			for rel, want := range ref {
 				if detail := diffRelation(got[rel], want); detail != "" {
 					rep.Violations = append(rep.Violations, DatalogViolation{
-						Program: prog.Name, Provider: arm.provider, Strategy: arm.strategy.String(),
+						Program: prog.Name, Provider: arm.provider,
 						Workers: arm.workers, Relation: rel, Detail: detail,
 					})
 				}
@@ -170,7 +166,6 @@ func evalDiffArm(w workload.DatalogWorkload, arm diffArm) (map[string][]string, 
 	eng, err := datalog.New(prog, datalog.Options{
 		Provider: provider,
 		Workers:  arm.workers,
-		Strategy: arm.strategy,
 	})
 	if err != nil {
 		return nil, err
@@ -308,6 +303,17 @@ q(X, Y) :- none(X), r(X, Y).
 .output c
 s(1). s(2). s(3).
 c(X, Y) :- s(X), s(Y).
+`),
+		mk("edge-no-positive-atom", `
+.decl blocked(x: number)
+.decl flag(x: number)
+.decl ok(x: number)
+.output flag
+.output ok
+blocked(3).
+flag(1) :- !blocked(7).
+ok(1) :- 2 < 3.
+ok(2) :- 3 < 2.
 `),
 		mk("edge-const-bounds", `
 .decl r(x: number, y: number)

@@ -16,6 +16,8 @@ import (
 //   - all elements of child i lie strictly between the separators i-1 and
 //     i of the parent;
 //   - parent pointers and positions are consistent;
+//   - an inner node's child slots past count are nil (a stale one would
+//     pin history once the node is retired into a snapshot);
 //   - all leaves are at the same depth;
 //   - no lock is left write-locked.
 func (t *Tree) Check() error {
@@ -73,6 +75,11 @@ func (t *Tree) checkNode(n *node, lo, hi tuple.Tuple, level int, leafDepth *int)
 		return nil
 	}
 
+	for i := cnt + 1; i < len(n.children); i++ {
+		if n.children[i].Load() != nil {
+			return fmt.Errorf("core: stale child slot %d past count %d at level %d", i, cnt, level)
+		}
+	}
 	for i := 0; i <= cnt; i++ {
 		child := n.children[i].Load()
 		if child == nil {

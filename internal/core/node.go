@@ -60,7 +60,8 @@ type node struct {
 	// occupies keys[i*arity : (i+1)*arity].
 	keys []atomic.Uint64
 
-	// children holds count+1 child pointers for inner nodes; nil for leaves.
+	// children holds count+1 child pointers for inner nodes, the slots
+	// past them nil; nil for leaves.
 	children []atomic.Pointer[node]
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -315,5 +316,40 @@ func TestSnapshotExportRange(t *testing.T) {
 	// Full-range export equals the snapshot contents.
 	if all := s.ExportRange(nil, nil); !tuplesEqual(all, collectSnap(s)) {
 		t.Fatal("full-range export differs from snapshot contents")
+	}
+}
+
+// TestSnapshotSplitRetention pins the doSplit slot clearing: an inner
+// node that keeps pointers to the children it moved to its split sibling
+// pins every later copy-on-write's retired subtree, so frequent
+// snapshots grow the retained heap without bound. Snapshots are dropped
+// at once here; with the slots cleared, the retained heap must stay
+// close to that of the same inserts without snapshots.
+func TestSnapshotSplitRetention(t *testing.T) {
+	const n, every = 100_000, 12
+	retained := func(snapshots bool) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		tr := New(2)
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < n; i++ {
+			tr.Insert(tuple.Tuple{rng.Uint64(), rng.Uint64()})
+			if snapshots && i%every == 0 {
+				tr.Snapshot()
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(tr)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	plain := retained(false)
+	snapped := retained(true)
+	ratio := float64(snapped) / float64(plain)
+	t.Logf("retained heap: %d B plain, %d B with snapshots (ratio %.2f)", plain, snapped, ratio)
+	if ratio > 1.5 {
+		t.Errorf("retained heap %d B with a snapshot every %d inserts vs %d B without (ratio %.2f > 1.5)",
+			snapped, every, plain, ratio)
 	}
 }

@@ -475,6 +475,13 @@ func (t *Tree) doSplit(n *node, oc *obs.OpCounts, locked *[]*node) {
 	}
 	sibling.count.Store(int32(moved))
 	n.count.Store(int32(mid))
+	if n.inner {
+		// Clear the moved child slots: a stale pointer past count would pin
+		// the moved subtree's history once cow retires n into a snapshot.
+		for i := mid + 1; i <= cnt; i++ {
+			n.children[i].Store(nil)
+		}
+	}
 
 	if parent == nil {
 		// n was the root: grow the tree by one level. The root lock is

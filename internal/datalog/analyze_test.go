@@ -45,38 +45,35 @@ func actualTotals(e *Engine) (scans, rows, emitted uint64) {
 
 // TestExplainAnalyzeMatchesStats pins the exactness contract: the
 // per-node actuals summed across the plan agree exactly with the
-// engine's aggregate streaming Stats, for both streaming strategies and
-// for single- and multi-worker runs.
+// engine's aggregate streaming Stats, for single- and multi-worker runs.
 func TestExplainAnalyzeMatchesStats(t *testing.T) {
-	for _, strat := range []EvalStrategy{EvalStream, EvalStreamNoPushdown} {
-		for _, workers := range []int{1, 4} {
-			eng, err := New(mustParse(t, analyzeTestSrc), Options{Workers: workers, Strategy: strat, NoPlanCache: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.Run(); err != nil {
-				t.Fatal(err)
-			}
-			st := eng.Stats()
-			scans, rows, emitted := actualTotals(eng)
-			if scans != st.StreamScans || rows != st.StreamRows {
-				t.Errorf("%s workers=%d: actuals scans=%d rows=%d, stats scans=%d rows=%d",
-					strat, workers, scans, rows, st.StreamScans, st.StreamRows)
-			}
-			// Every pulled row either passed the residual actions or was
-			// counted residual (the splitter partitioning keeps all pulls on
-			// the chain path, where the identity is exact).
-			if rows != emitted+st.ResidualRows {
-				t.Errorf("%s workers=%d: rows=%d != emitted=%d + residual=%d",
-					strat, workers, rows, emitted, st.ResidualRows)
-			}
-			out := eng.ExplainAnalyze()
-			if !strings.Contains(out, "actual scans=") {
-				t.Fatalf("ExplainAnalyze lacks actuals:\n%s", out)
-			}
-			if !strings.Contains(out, "evals=") {
-				t.Fatalf("ExplainAnalyze lacks per-rule timing:\n%s", out)
-			}
+	for _, workers := range []int{1, 4} {
+		eng, err := New(mustParse(t, analyzeTestSrc), Options{Workers: workers, NoPlanCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		st := eng.Stats()
+		scans, rows, emitted := actualTotals(eng)
+		if scans != st.StreamScans || rows != st.StreamRows {
+			t.Errorf("workers=%d: actuals scans=%d rows=%d, stats scans=%d rows=%d",
+				workers, scans, rows, st.StreamScans, st.StreamRows)
+		}
+		// Every pulled row either passed the residual actions or was
+		// counted residual (the splitter partitioning keeps all pulls on
+		// the chain path, where the identity is exact).
+		if rows != emitted+st.ResidualRows {
+			t.Errorf("workers=%d: rows=%d != emitted=%d + residual=%d",
+				workers, rows, emitted, st.ResidualRows)
+		}
+		out := eng.ExplainAnalyze()
+		if !strings.Contains(out, "actual scans=") {
+			t.Fatalf("ExplainAnalyze lacks actuals:\n%s", out)
+		}
+		if !strings.Contains(out, "evals=") {
+			t.Fatalf("ExplainAnalyze lacks per-rule timing:\n%s", out)
 		}
 	}
 }

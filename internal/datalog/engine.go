@@ -20,11 +20,9 @@ type Options struct {
 	Provider relation.Provider
 	// Workers is the evaluation thread count (default GOMAXPROCS).
 	Workers int
-	// Strategy selects the rule evaluator (default EvalStream).
-	Strategy EvalStrategy
 	// PlanCache overrides the compilation cache (default
 	// DefaultPlanCache). Compilation is pure in the program text, so a
-	// cache may be shared freely across providers and strategies.
+	// cache may be shared freely across providers.
 	PlanCache *PlanCache
 	// NoPlanCache compiles from scratch without consulting any cache.
 	NoPlanCache bool
@@ -56,9 +54,9 @@ type Stats struct {
 	HintHits   uint64 `json:"hint_hits"`
 	HintMisses uint64 `json:"hint_misses"`
 
-	// Streaming-evaluator counters (zero under EvalMaterialize). The
-	// fields below were appended for the streaming rewrite; the earlier
-	// fields keep their positions and names (append-only contract).
+	// Streaming-evaluator counters. The fields below were appended for
+	// the streaming rewrite; the earlier fields keep their positions and
+	// names (append-only contract).
 	StreamScans   uint64 `json:"stream_scans"`    // composed-iterator scans opened
 	StreamRows    uint64 `json:"stream_rows"`     // tuples pulled through iterators
 	PushdownScans uint64 `json:"pushdown_scans"`  // scans with comparison-tightened bounds
@@ -121,7 +119,6 @@ type Engine struct {
 	prog     *Program
 	provider relation.Provider
 	workers  int
-	strategy EvalStrategy
 	syms     *SymbolTable
 	rels     map[string]*engRel
 	strata   []Stratum
@@ -180,7 +177,6 @@ func New(prog *Program, opts Options) (*Engine, error) {
 		prog:     prog,
 		provider: provider,
 		workers:  workers,
-		strategy: opts.Strategy,
 		trace:    opts.TraceID,
 		syms:     NewSymbolTable(),
 		rels:     map[string]*engRel{},
@@ -345,9 +341,6 @@ func (e *Engine) compileProgram() error {
 
 // Symbols exposes the engine's symbol table for interning fact constants.
 func (e *Engine) Symbols() *SymbolTable { return e.syms }
-
-// Strategy returns the engine's evaluation strategy.
-func (e *Engine) Strategy() EvalStrategy { return e.strategy }
 
 // Workers returns the configured worker count.
 func (e *Engine) Workers() int { return e.workers }
@@ -698,7 +691,7 @@ func (e *Engine) evalPlanSpanned(p *rulePlan, target insertTarget, si int, paren
 		spanStart = obs.Clock()
 	}
 	start := time.Now()
-	e.evalPlan(p, target)
+	e.evalPlanStream(p, target)
 	d := time.Since(start)
 	p.evalTime += d
 	p.evalCount++
@@ -708,157 +701,6 @@ func (e *Engine) evalPlanSpanned(p *rulePlan, target insertTarget, si int, paren
 		obs.RecordSpan(e.trace, e.ruleSpan, parent, obs.SpanEngineRule,
 			spanStart, obs.Clock()-spanStart, uint64(si), uint64(p.rule))
 		e.ruleSpan = 0
-	}
-}
-
-// evalPlan evaluates one rule version under the engine's strategy. The
-// streaming evaluator (iter.go) composes cursor-backed iterators; the
-// materialising evaluator below is the pre-rewrite callback recursion,
-// kept as the reference arm of the differential harness.
-func (e *Engine) evalPlan(p *rulePlan, target insertTarget) {
-	switch e.strategy {
-	case EvalStream:
-		e.evalPlanStream(p, target, true)
-	case EvalStreamNoPushdown:
-		e.evalPlanStream(p, target, false)
-	default:
-		e.evalPlanMaterialize(p, target)
-	}
-}
-
-// evalPlanMaterialize evaluates one rule version with nested callback
-// recursion, partitioning the outermost scan across the worker pool
-// (the paper's parallelisation of the outermost for-loop of Figure 1).
-// Three paths, in order of preference:
-//
-//  1. single worker: evaluate inline during the scan;
-//  2. splittable backend (the B-trees): partition the scanned key range
-//     Soufflé-style and hand each worker subranges — no materialisation;
-//  3. otherwise: materialise the outer scan and chunk it.
-func (e *Engine) evalPlanMaterialize(p *rulePlan, target insertTarget) {
-	if len(p.body) == 0 || p.body[0].kind != LitAtom {
-		// Degenerate: no positive outer atom; evaluate inline.
-		env := make([]uint64, p.numVars)
-		e.evalFrom(e.workerState[0], p, 0, env, target)
-		return
-	}
-
-	outer := &p.body[0]
-	rel := outer.rel
-	arity := rel.arity
-	src := rel.full[outer.index]
-	if outer.useDelta {
-		src = rel.delta[outer.index]
-	}
-	prefix := make(tuple.Tuple, len(outer.prefix))
-	for i, s := range outer.prefix {
-		if !s.isConst {
-			panic("datalog: unbound variable in outermost prefix")
-		}
-		prefix[i] = s.c
-	}
-
-	if e.workers <= 1 {
-		ws := e.workerState[0]
-		env := make([]uint64, p.numVars)
-		nPrefix := len(prefix)
-		ws.scans++
-		ws.opsFor(src).PrefixScan(prefix, func(t tuple.Tuple) bool {
-			if applyActions(outer.rest, t[nPrefix:], env) {
-				e.evalFrom(ws, p, 1, env, target)
-			}
-			return true
-		})
-		return
-	}
-
-	if sp, ok := src.(relation.Splitter); ok {
-		lo := tuple.PrefixLowerBound(prefix, arity)
-		hi := tuple.PrefixUpperBound(prefix, arity)
-		bounds := sp.SplitRange(lo, hi, e.workers*4)
-		starts := make([]tuple.Tuple, 0, len(bounds)+1)
-		ends := make([]tuple.Tuple, 0, len(bounds)+1)
-		starts = append(starts, lo)
-		for _, b := range bounds {
-			ends = append(ends, b)
-			starts = append(starts, b)
-		}
-		ends = append(ends, hi)
-
-		var wg sync.WaitGroup
-		workers := e.workers
-		if workers > len(starts) {
-			workers = len(starts)
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int, ws *workerState) {
-				defer wg.Done()
-				env := make([]uint64, p.numVars)
-				nPrefix := len(prefix)
-				scanner := ws.opsFor(src).(relation.RangeScanner)
-				for ri := w; ri < len(starts); ri += workers {
-					ws.scans++
-					scanner.RangeScan(starts[ri], ends[ri], func(t tuple.Tuple) bool {
-						if applyActions(outer.rest, t[nPrefix:], env) {
-							e.evalFrom(ws, p, 1, env, target)
-						}
-						return true
-					})
-				}
-			}(w, e.workerState[w])
-		}
-		wg.Wait()
-		return
-	}
-
-	// Materialise the outer scan and chunk it across the workers.
-	w0 := e.workerState[0]
-	var flat []uint64
-	w0.scans++
-	w0.opsFor(src).PrefixScan(prefix, func(t tuple.Tuple) bool {
-		flat = append(flat, t...)
-		return true
-	})
-	n := len(flat) / arity
-	if n == 0 {
-		return
-	}
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(ws *workerState, part []uint64) {
-			defer wg.Done()
-			e.runOuterChunk(ws, p, part, target)
-		}(e.workerState[w], flat[lo*arity:hi*arity])
-	}
-	wg.Wait()
-}
-
-// runOuterChunk processes a slice of outer-scan tuples on one worker.
-func (e *Engine) runOuterChunk(ws *workerState, p *rulePlan, flat []uint64, target insertTarget) {
-	outer := &p.body[0]
-	arity := outer.rel.arity
-	env := make([]uint64, p.numVars)
-	nPrefix := len(outer.prefix)
-	for off := 0; off < len(flat); off += arity {
-		t := flat[off : off+arity]
-		if !applyActions(outer.rest, t[nPrefix:], env) {
-			continue
-		}
-		e.evalFrom(ws, p, 1, env, target)
 	}
 }
 
@@ -883,48 +725,6 @@ func (s valSrc) value(env []uint64) uint64 {
 		return s.c
 	}
 	return env[s.v]
-}
-
-// evalFrom evaluates body literals i.. with the current bindings,
-// projecting the head at the end (the inner loops of Figure 1).
-func (e *Engine) evalFrom(ws *workerState, p *rulePlan, i int, env []uint64, target insertTarget) {
-	if i == len(p.body) {
-		e.emit(ws, p, env, target)
-		return
-	}
-	l := &p.body[i]
-	switch l.kind {
-	case LitCmp:
-		if l.op.Eval(l.l.value(env), l.r.value(env)) {
-			e.evalFrom(ws, p, i+1, env, target)
-		}
-	case LitNegAtom:
-		probe := make(tuple.Tuple, len(l.ground))
-		for c, s := range l.ground {
-			probe[c] = s.value(env)
-		}
-		ws.contains++
-		if !ws.opsFor(l.rel.full[l.index]).Contains(probe) {
-			e.evalFrom(ws, p, i+1, env, target)
-		}
-	case LitAtom:
-		src := l.rel.full[l.index]
-		if l.useDelta {
-			src = l.rel.delta[l.index]
-		}
-		prefix := make(tuple.Tuple, len(l.prefix))
-		for c, s := range l.prefix {
-			prefix[c] = s.value(env)
-		}
-		nPrefix := len(prefix)
-		ws.scans++
-		ws.opsFor(src).PrefixScan(prefix, func(t tuple.Tuple) bool {
-			if applyActions(l.rest, t[nPrefix:], env) {
-				e.evalFrom(ws, p, i+1, env, target)
-			}
-			return true
-		})
-	}
 }
 
 // emit projects and inserts the head tuple: duplicate check against the
@@ -1038,7 +838,10 @@ type RoundMetric struct {
 // Stats, the per-round semi-naïve progress and the per-rule-version
 // timing profile, tagged with the provider and worker configuration. It
 // forms the "engine"/"engines" sections of the JSON emitted by the
-// commands' -metrics flag (DESIGN.md §9). Valid after Run.
+// commands' -metrics flag (DESIGN.md §9). Strategy always reads
+// "stream": the engine has one evaluator, and the key stays because the
+// document's keys are append-only under its schema version. Valid after
+// Run.
 type Metrics struct {
 	Provider string        `json:"provider"`
 	Workers  int           `json:"workers"`
@@ -1054,7 +857,7 @@ func (e *Engine) Metrics() Metrics {
 	return Metrics{
 		Provider: e.provider.Name,
 		Workers:  e.workers,
-		Strategy: e.strategy.String(),
+		Strategy: "stream",
 		Stats:    e.stats,
 		Rounds:   e.rounds,
 		Rules:    e.Profile(),

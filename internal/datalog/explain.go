@@ -26,13 +26,11 @@ func (e *Engine) Explain() string { return e.explain(false) }
 // actions. A trailing totals line cross-checks the per-node sums
 // against the aggregate Stats: both are fed by the same always-on
 // accumulators (never the sampled span ring), so the numbers agree
-// exactly. Valid after Run; the actuals are maintained by the streaming
-// strategies, so EvalMaterialize reports zeros.
+// exactly. Valid after Run.
 func (e *Engine) ExplainAnalyze() string { return e.explain(true) }
 
 func (e *Engine) explain(analyze bool) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "strategy: %s\n", e.strategy)
 	if analyze && !e.ran {
 		sb.WriteString("explain analyze: engine has not run; actuals are all zero\n")
 	}

@@ -6,11 +6,10 @@ package datalog
 // materialisation — and comparisons on the first suffix column of a
 // scanned index are pushed down into the cursor's [lo, hi) bounds
 // instead of filtering after the scan. DESIGN.md §12 documents the
-// contract; the materialising evaluator (evalFrom) is kept as the
-// reference arm of the differential harness.
+// contract. It is the engine's only rule evaluator; the differential
+// harness checks it against the naive reference in internal/check.
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -18,53 +17,6 @@ import (
 	"specbtree/internal/relation"
 	"specbtree/internal/tuple"
 )
-
-// EvalStrategy selects how rule bodies are evaluated.
-type EvalStrategy int
-
-const (
-	// EvalStream composes cursor-backed iterators per body atom and
-	// pulls tuples lazily through the chain, with comparison pushdown
-	// tightening the scan bounds (DESIGN.md §12). The default.
-	EvalStream EvalStrategy = iota
-	// EvalStreamNoPushdown is EvalStream with pushdown disabled: pushed
-	// comparisons are evaluated as residual filters after the scan. The
-	// ablation arm of cmd/benchdatalog.
-	EvalStreamNoPushdown
-	// EvalMaterialize is the callback-recursion evaluator the engine
-	// used before the streaming rewrite; it is the reference arm of the
-	// streaming-vs-materializing differential check.
-	EvalMaterialize
-)
-
-func (s EvalStrategy) String() string {
-	switch s {
-	case EvalStream:
-		return "stream"
-	case EvalStreamNoPushdown:
-		return "stream-nopush"
-	case EvalMaterialize:
-		return "materialize"
-	}
-	return fmt.Sprintf("EvalStrategy(%d)", int(s))
-}
-
-// ParseStrategy resolves a strategy name as accepted by the commands'
-// -strategy flags.
-func ParseStrategy(name string) (EvalStrategy, error) {
-	switch name {
-	case "stream":
-		return EvalStream, nil
-	case "stream-nopush":
-		return EvalStreamNoPushdown, nil
-	case "materialize":
-		return EvalMaterialize, nil
-	}
-	return 0, fmt.Errorf("datalog: unknown evaluation strategy %q (want stream, stream-nopush or materialize)", name)
-}
-
-// Strategies lists the strategy names in their canonical order.
-func Strategies() []string { return []string{"stream", "stream-nopush", "materialize"} }
 
 // pushSamplePeriod is the sampling rate of the pushdown-selectivity
 // histogram: one in every pushSamplePeriod pushed scans (per worker)
@@ -104,13 +56,12 @@ type chainStage struct {
 // which the phase-concurrency contract guarantees the scanned versions
 // are not written (DESIGN.md §5.1).
 type streamChain struct {
-	e       *Engine
-	ws      *workerState
-	p       *rulePlan
-	target  insertTarget
-	usePush bool
-	env     []uint64
-	stages  []chainStage
+	e      *Engine
+	ws     *workerState
+	p      *rulePlan
+	target insertTarget
+	env    []uint64
+	stages []chainStage
 
 	// trace/ruleSpan snapshot the engine's current trace context at
 	// chain construction (chains never outlive one rule evaluation), so
@@ -119,8 +70,8 @@ type streamChain struct {
 	ruleSpan obs.SpanID
 }
 
-func newStreamChain(e *Engine, ws *workerState, p *rulePlan, target insertTarget, usePush bool) *streamChain {
-	c := &streamChain{e: e, ws: ws, p: p, target: target, usePush: usePush, trace: e.trace, ruleSpan: e.ruleSpan}
+func newStreamChain(e *Engine, ws *workerState, p *rulePlan, target insertTarget) *streamChain {
+	c := &streamChain{e: e, ws: ws, p: p, target: target, trace: e.trace, ruleSpan: e.ruleSpan}
 	c.env = make([]uint64, p.numVars)
 	c.stages = make([]chainStage, len(p.body))
 	for i := range p.body {
@@ -148,11 +99,11 @@ func scanSource(l *litPlan) relation.Relation {
 
 // scanBounds computes the [lo, hi) key range of an atom stage for the
 // current bindings, folding the stage's pushed comparisons into the
-// bounds when pushdown is enabled. pushed reports whether a comparison
-// tightened the range beyond the plain prefix bounds; empty reports a
-// range proved unsatisfiable (the scan can be skipped outright). The
-// returned slices alias the stage's reusable buffers; hi is nil for a
-// scan running to the end of the index.
+// bounds. pushed reports whether a comparison tightened the range beyond
+// the plain prefix bounds; empty reports a range proved unsatisfiable
+// (the scan can be skipped outright). The returned slices alias the
+// stage's reusable buffers; hi is nil for a scan running to the end of
+// the index.
 func (c *streamChain) scanBounds(s *chainStage) (lo, hi tuple.Tuple, pushed, empty bool) {
 	l := s.lit
 	arity := l.rel.arity
@@ -166,7 +117,7 @@ func (c *streamChain) scanBounds(s *chainStage) (lo, hi tuple.Tuple, pushed, emp
 	const maxVal = ^uint64(0)
 	var loCol, hiCol uint64
 	hasLo, hasHi := false, false
-	if c.usePush && nPrefix < arity {
+	if nPrefix < arity {
 		for _, pb := range l.push {
 			v := pb.val.value(c.env)
 			switch pb.op {
@@ -359,7 +310,7 @@ func (c *streamChain) next(i int) bool {
 			return false
 		}
 		s.done = true
-		if l.pushed && c.usePush {
+		if l.pushed {
 			return true // absorbed into an earlier stage's scan bounds
 		}
 		return l.op.Eval(l.l.value(c.env), l.r.value(c.env))
@@ -415,21 +366,17 @@ func (c *streamChain) runOuterRange(lo, hi tuple.Tuple, pushed bool) {
 	c.runFrom(0)
 }
 
-// evalPlanStream evaluates one rule version with the streaming
-// evaluator, partitioning the outermost scan across the worker pool
-// exactly as the materialising path does: splittable backends get
-// Soufflé-style key-range partitions, others a materialised outer scan
-// chunked across workers.
-func (e *Engine) evalPlanStream(p *rulePlan, target insertTarget, usePush bool) {
-	if len(p.body) == 0 || p.body[0].kind != LitAtom {
-		// Degenerate: no positive outer atom; evaluate inline.
-		env := make([]uint64, p.numVars)
-		e.evalFrom(e.workerState[0], p, 0, env, target)
-		return
-	}
-
-	if e.workers <= 1 {
-		newStreamChain(e, e.workerState[0], p, target, usePush).run(0)
+// evalPlanStream evaluates one rule version, partitioning the outermost
+// scan across the worker pool (the paper's parallelisation of the
+// outermost for-loop of Figure 1): splittable backends get Soufflé-style
+// key-range partitions, others a materialised outer scan chunked across
+// workers.
+func (e *Engine) evalPlanStream(p *rulePlan, target insertTarget) {
+	// A body without a positive outer atom (only comparisons and
+	// negations) has nothing to partition: the chain fires each literal
+	// once and emits at most one head tuple.
+	if e.workers <= 1 || len(p.body) == 0 || p.body[0].kind != LitAtom {
+		newStreamChain(e, e.workerState[0], p, target).run(0)
 		return
 	}
 
@@ -439,7 +386,7 @@ func (e *Engine) evalPlanStream(p *rulePlan, target insertTarget, usePush bool) 
 	outer := &p.body[0]
 	arity := outer.rel.arity
 	src := scanSource(outer)
-	scratch := newStreamChain(e, e.workerState[0], p, target, usePush)
+	scratch := newStreamChain(e, e.workerState[0], p, target)
 	lo, hi, outerPushed, empty := scratch.scanBounds(&scratch.stages[0])
 	if empty {
 		return
@@ -469,7 +416,7 @@ func (e *Engine) evalPlanStream(p *rulePlan, target insertTarget, usePush bool) 
 			wg.Add(1)
 			go func(w int, ws *workerState) {
 				defer wg.Done()
-				c := newStreamChain(e, ws, p, target, usePush)
+				c := newStreamChain(e, ws, p, target)
 				for ri := w; ri < len(starts); ri += workers {
 					c.runOuterRange(starts[ri], ends[ri], outerPushed)
 				}
@@ -539,7 +486,7 @@ func (e *Engine) evalPlanStream(p *rulePlan, target insertTarget, usePush bool) 
 		wg.Add(1)
 		go func(ws *workerState, part []uint64) {
 			defer wg.Done()
-			c := newStreamChain(e, ws, p, target, usePush)
+			c := newStreamChain(e, ws, p, target)
 			emitted := uint64(0)
 			for off := 0; off < len(part); off += arity {
 				t := part[off : off+arity]

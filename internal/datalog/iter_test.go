@@ -10,21 +10,6 @@ import (
 	"specbtree/internal/tuple"
 )
 
-func TestParseStrategy(t *testing.T) {
-	for _, name := range Strategies() {
-		s, err := ParseStrategy(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.String() != name {
-			t.Errorf("round trip %q -> %q", name, s)
-		}
-	}
-	if _, err := ParseStrategy("bogus"); err == nil {
-		t.Error("bogus strategy accepted")
-	}
-}
-
 func TestPrefixUpperInto(t *testing.T) {
 	max := ^uint64(0)
 	cases := []struct {
@@ -105,46 +90,34 @@ func TestFallbackIter(t *testing.T) {
 	}
 }
 
-// evalStrategyOutputs runs src under every strategy on the given
-// provider/worker grid and asserts identical relation dumps.
-func evalStrategyOutputs(t *testing.T, src string, outputs []string, provider string, workers int) {
+// checkOutputs evaluates src on the given provider/worker configuration
+// and asserts each output relation's sorted dump equals want.
+func checkOutputs(t *testing.T, src string, want map[string][]string, provider string, workers int) {
 	t.Helper()
-	var ref map[string][]string
-	for _, strat := range []EvalStrategy{EvalMaterialize, EvalStream, EvalStreamNoPushdown} {
-		prog := mustParse(t, src)
-		p, err := relation.Lookup(provider)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := New(prog, Options{Provider: p, Workers: workers, Strategy: strat, NoPlanCache: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		got := map[string][]string{}
-		for _, o := range outputs {
-			rows := dumpRel(t, eng, o)
-			sort.Strings(rows) // hash providers scan in arbitrary order
-			got[o] = rows
-		}
-		if ref == nil {
-			ref = got
-			continue
-		}
-		for _, o := range outputs {
-			if fmt.Sprint(got[o]) != fmt.Sprint(ref[o]) {
-				t.Errorf("%s/%dw strategy %s diverged on %s:\n got %v\nwant %v",
-					provider, workers, strat, o, got[o], ref[o])
-			}
+	p, err := relation.Lookup(provider)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(mustParse(t, src), Options{Provider: p, Workers: workers, NoPlanCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for o, rows := range want {
+		got := dumpRel(t, eng, o)
+		sort.Strings(got) // hash providers scan in arbitrary order
+		sort.Strings(rows)
+		if fmt.Sprint(got) != fmt.Sprint(rows) {
+			t.Errorf("%s/%dw: %s diverged:\n got %v\nwant %v", provider, workers, o, got, rows)
 		}
 	}
 }
 
 // TestStreamBoundaryConstants drives the pushdown bounds math at the
 // edges of the key space: > max (provably empty), >= max, <= 0, < 0
-// (empty), = max — under every strategy, which must agree.
+// (empty), = max — against hand-derived results.
 func TestStreamBoundaryConstants(t *testing.T) {
 	max := ^uint64(0)
 	src := fmt.Sprintf(`
@@ -168,23 +141,15 @@ lezero(X, Y) :- s(X), r(X, Y), Y <= 0.
 ltzero(X, Y) :- s(X), r(X, Y), Y < 0.
 eqmax(X, Y) :- s(X), r(X, Y), Y = %d.
 `, max, max-1, max, max, max)
-	outputs := []string{"gtmax", "gemax", "lezero", "ltzero", "eqmax"}
+	want := map[string][]string{
+		"gtmax":  nil,
+		"gemax":  {fmt.Sprintf("[1 %d]", max)},
+		"lezero": {"[1 0]", "[2 0]"},
+		"ltzero": nil,
+		"eqmax":  {fmt.Sprintf("[1 %d]", max)},
+	}
 	for _, workers := range []int{1, 3} {
-		evalStrategyOutputs(t, src, outputs, "btree", workers)
-	}
-
-	// Spot-check the absolute counts under streaming.
-	eng, err := New(mustParse(t, src), Options{Workers: 1, NoPlanCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for rel, want := range map[string]int{"gtmax": 0, "gemax": 1, "lezero": 2, "ltzero": 0, "eqmax": 1} {
-		if got := eng.Count(rel); got != want {
-			t.Errorf("%s: %d tuples, want %d", rel, got, want)
-		}
+		checkOutputs(t, src, want, "btree", workers)
 	}
 }
 
@@ -200,9 +165,17 @@ e(1, 2). e(2, 3). e(3, 4). e(4, 5). e(5, 6). e(2, 6).
 p(X, Y) :- e(X, Y).
 p(X, Z) :- p(X, Y), e(Y, Z), Z > X.
 `
+	// Every edge points upward, so Z > X always holds: p is the
+	// transitive closure of the chain 1..6.
+	var p []string
+	for x := 1; x <= 5; x++ {
+		for z := x + 1; z <= 6; z++ {
+			p = append(p, fmt.Sprintf("[%d %d]", x, z))
+		}
+	}
 	for _, provider := range []string{"btree", "hashset", "tbbhash"} {
 		for _, workers := range []int{1, 4} {
-			evalStrategyOutputs(t, src, []string{"p"}, provider, workers)
+			checkOutputs(t, src, map[string][]string{"p": p}, provider, workers)
 		}
 	}
 }
@@ -265,7 +238,6 @@ q(X, Y) :- s(X), r(X, Y), Y >= 10, Y < 20.
 	}
 	out := eng.Explain()
 	for _, want := range []string{
-		"strategy: stream",
 		"pushdown[col1 >= 10]",
 		"pushdown[col1 < 20]",
 		"[pushed into scan bounds]",

@@ -3,8 +3,7 @@ package datalog
 // The keyed plan cache. Compiling a program — safety check,
 // stratification, signature collection, minimum-chain-cover index
 // selection and per-version rule compilation — is pure in the program
-// text: neither the provider, the worker count nor the evaluation
-// strategy changes its outcome. Engines that evaluate the same program
+// text: neither the provider nor the worker count changes its outcome. Engines that evaluate the same program
 // repeatedly (the benchmark drivers, the relation server's per-request
 // engines) therefore share compiled plans through a PlanCache keyed by
 // the canonical program text. A cached entry holds only immutable

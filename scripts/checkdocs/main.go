@@ -10,8 +10,8 @@
 //  3. the frozen counter and histogram names are still registered — the
 //     contract is append-only, so renaming or deleting a published name
 //     is an error — and
-//  4. DESIGN.md names the current schema version, the flight-recorder
-//     JSON field names, and the §12 evaluation strategies.
+//  4. DESIGN.md names the current schema version and the
+//     flight-recorder JSON field names, and has its §12.
 //
 // It exits non-zero listing each violation.
 package main
@@ -113,13 +113,6 @@ var frozenHistograms = []string{
 	"hist.replica.lag.epochs",
 }
 
-// strategyNames are the evaluation-strategy spellings accepted by the
-// engine's -strategy flags; DESIGN.md §12 must name each so the docs
-// cannot drift from the dispatch.
-var strategyNames = []string{
-	"stream", "stream-nopush", "materialize",
-}
-
 // frozenSpanSites freezes the trace span site names at the moment the
 // tracing subsystem shipped (DESIGN.md §13), in registry order. Span
 // names travel in persisted trace_event dumps, so the contract is
@@ -210,12 +203,6 @@ func main() {
 	if !strings.Contains(design, "## 12.") {
 		problems = append(problems,
 			"DESIGN.md: §12 (streaming query execution) is missing")
-	}
-	for _, name := range strategyNames {
-		if !strings.Contains(design, "`"+name+"`") {
-			problems = append(problems,
-				fmt.Sprintf("DESIGN.md: evaluation strategy `%s` not documented in §12", name))
-		}
 	}
 
 	// Span-site freeze: the registry must carry exactly the frozen names
